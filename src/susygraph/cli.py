@@ -7,6 +7,7 @@ Exit status: 0 when every requested check passes, 1 when a check fails
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .graph import MODES, GraphFormatError, parse_edge_list
@@ -59,8 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print(f"error: --tol must be positive and finite, got {args.tol}", file=sys.stderr)
         return 2
     try:
         with open(args.path, encoding="utf-8") as fh:

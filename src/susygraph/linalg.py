@@ -17,16 +17,16 @@ every component it can produce (for a product, max|A| * max|B| * 2 times
 the number of terms in one sum, at most min(nnz(A), inner dimension)).
 Below 2**62 the work runs in int64; at or above it the same code runs on
 object arrays of Python ints.  No result wraps.
-The exact elimination routines (rank, kernel basis) work on Python-int row
-dicts built once from these arrays.
+The exact elimination routines (rank, kernel basis) are fraction-free: they
+combine Python-int row dicts built once from these arrays and divide out
+each row's gcd, so no rational number is ever formed.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable
 
 import numpy as np
@@ -335,11 +335,6 @@ def serialize_triplets(m: LinearMap) -> list[str]:
     return [f"({r}, {c}, {re}, {im})" for r, c, re, im in m.entries()]
 
 
-def triplet_rows(m: LinearMap) -> list[list[int]]:
-    """entries() as plain lists, the JSON-friendly twin of serialize_triplets."""
-    return [[r, c, re, im] for r, c, re, im in m.entries()]
-
-
 @dataclass(frozen=True)
 class StateVector:
     """A dense complex coefficient vector over a tagged space."""
@@ -455,65 +450,76 @@ def exact_rank(m: LinearMap) -> int:
     return rank
 
 
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """row divided by the gcd of its entries, so its content is 1."""
+    g = gcd(*row.values())
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _cleared(row: dict[int, int], prow: dict[int, int], pc: int) -> dict[int, int]:
+    """p*row - q*prow with p = prow[pc] > 0 and q = row[pc], made primitive.
+
+    The result has no entry at pc and is a positive multiple of the rational
+    row - (q/p)*prow.
+    """
+    p, q = prow[pc], row[pc]
+    new = {c: p * v for c, v in row.items()} if p != 1 else dict(row)
+    for c, v in prow.items():
+        nv = new.get(c, 0) - q * v
+        if nv:
+            new[c] = nv
+        else:
+            del new[c]
+    return _primitive(new) if new else new
+
+
 def exact_kernel_basis(m: LinearMap) -> list[dict[int, int]]:
     """An integer basis of the rational kernel of a real integer map.
 
-    Reduced row echelon form over exact fractions, one kernel vector per
-    free column, denominators cleared and content stripped.  The vector for
-    free column f carries a positive entry at f; ordering follows the free
-    columns, so the result is deterministic.
+    Fraction-free Gauss-Jordan over Python ints.  Rows are taken in row
+    order; a row's pivot is its smallest live column, and each new pivot is
+    cleared from the earlier rows.  Every echelon row is kept primitive
+    (its gcd divided out after each combination) with a positive pivot and
+    zeros at the other pivot columns: it is its reduced row echelon row
+    scaled to the smallest integer vector.  On an incidence matrix, which
+    is totally unimodular, every pivot is 1 and every entry 0 or ±1.  The
+    vector for free column f puts the lcm L of the pivots of the rows
+    touching f at f and -a*(L//p) at each such pivot, then drops its
+    content.  As the reduced echelon form is unique, this is the unique
+    primitive integer kernel vector supported on f and the pivot columns
+    with a positive entry at f.  Vectors follow the free columns; each has
+    key f first, then its pivots in echelon order.
     """
     if m.has_imag():
         raise ValueError("kernel basis is only implemented for real integer maps")
-    echelon: list[tuple[int, dict[int, Fraction]]] = []
+    echelon: list[tuple[int, dict[int, int]]] = []
     for gaussian_row in _merged_gaussian_rows(m):
-        row: dict[int, Fraction] = {c: Fraction(re) for c, (re, _) in gaussian_row.items()}
+        row = {c: re for c, (re, _) in gaussian_row.items()}
         for pc, prow in echelon:
-            coef = row.get(pc)
-            if not coef:
-                continue
-            for c, pv in prow.items():
-                nv = row.get(c, Fraction(0)) - coef * pv
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
+            if pc in row:
+                row = _cleared(row, prow, pc)
         if not row:
             continue
         pc_new = min(row)
-        inv = row[pc_new]
-        row = {c: v / inv for c, v in row.items()}
-        for _, erow in echelon:
-            coef = erow.get(pc_new)
-            if not coef:
-                continue
-            for c, pv in row.items():
-                nv = erow.get(c, Fraction(0)) - coef * pv
-                if nv:
-                    erow[c] = nv
-                else:
-                    erow.pop(c, None)
+        g = gcd(*row.values())
+        if row[pc_new] < 0:
+            g = -g
+        row = {c: v // g for c, v in row.items()}
+        for k, (pc, erow) in enumerate(echelon):
+            if pc_new in erow:
+                echelon[k] = (pc, _cleared(erow, row, pc_new))
         echelon.append((pc_new, row))
     pivots = {pc for pc, _ in echelon}
     basis: list[dict[int, int]] = []
     for f in range(m.domain.dim):
         if f in pivots:
             continue
-        vec: dict[int, Fraction] = {f: Fraction(1)}
-        for pc, prow in echelon:
-            coef = prow.get(f)
-            if coef:
-                vec[pc] = -coef
-        denom = 1
-        for v in vec.values():
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        ints = {c: int(v * denom) for c, v in vec.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
-        if g > 1:
-            ints = {c: v // g for c, v in ints.items()}
-        basis.append(ints)
+        touching = [(pc, prow) for pc, prow in echelon if f in prow]
+        scale = lcm(*(prow[pc] for pc, prow in touching))
+        vec = {f: scale}
+        for pc, prow in touching:
+            vec[pc] = -prow[f] * (scale // prow[pc])
+        basis.append(_primitive(vec))
     return basis
 
 

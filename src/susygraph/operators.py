@@ -179,15 +179,6 @@ def build_super_operators(inc: IncidenceOperators) -> SuperOperators:
     )
 
 
-def build_all(graph: DirectedGraph):
-    """Convenience: incidence, vertex operators, edge Laplacian, super package."""
-    inc = build_incidence(graph)
-    vops = build_vertex_operators(inc)
-    edge_lap = build_edge_laplacian(inc)
-    sup = build_super_operators(inc)
-    return inc, vops, edge_lap, sup
-
-
 # -- direct constructions used as oracles against the factorizations ---------
 
 
@@ -219,21 +210,6 @@ def adjacency_direct(graph: DirectedGraph) -> LinearMap:
 
 def laplacian_direct(graph: DirectedGraph) -> LinearMap:
     return (degree_in_direct(graph) + degree_out_direct(graph)) - adjacency_direct(graph)
-
-
-def edge_superposition(inc: IncidenceOperators, k: int) -> LinearMap:
-    """The rank-one edge picture of the partner Laplacian restricted to edge k.
-
-    Row k of diff diff* against the standard edge basis: applying the
-    partner Laplacian to the indicator of edge k yields 2 on k itself,
-    -1 on edges continuing or preceding it, plus the bookkeeping of shared
-    endpoints.  Returned as the k-th column for inspection.
-    """
-    edge_lap = build_edge_laplacian(inc)
-    entries = [(r, 0, re, im) for r, c, re, im in edge_lap.entries() if c == k]
-    from .linalg import aux_space
-
-    return LinearMap.from_entries(aux_space(1), inc.edge, entries)
 
 
 def pair_difference_state(inc: IncidenceOperators, i: int, j: int):

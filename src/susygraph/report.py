@@ -219,10 +219,10 @@ def build_report(
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     consistency: dict = {}
     if report["kernel"] is not None and report["spectra"] is not None:
-        below = sum(1 for v in report["spectra"]["hamiltonian"] if abs(v) <= tol)
-        consistency["hamiltonian_zero_count_matches"] = bool(
-            below == report["kernel"]["dim_ker_HS"]
-        )
+        # The exact kernel dimension says how many of the lowest eigenvalues are
+        # zero; a small nonzero eigenvalue within tol above them is not a zero mode.
+        zeros = report["spectra"]["hamiltonian"][: report["kernel"]["dim_ker_HS"]]
+        consistency["hamiltonian_zero_count_matches"] = all(abs(v) <= tol for v in zeros)
     if report["kernel"] is not None and report["cycles"] is not None:
         consistency["cycles_match_fermionic_zero_modes"] = bool(
             report["cycles"]["cycle_count"] == report["kernel"]["zero_modes"]["fermionic"]
@@ -257,7 +257,7 @@ def build_report(
 
 
 def serialize_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _text_lines(prefix: str, obj, out: list[str]) -> None:

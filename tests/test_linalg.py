@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from susygraph.graph import DirectedGraph
 from susygraph.linalg import (
     LinearMap,
     SpaceMismatch,
@@ -21,6 +25,7 @@ from susygraph.linalg import (
     stack_columns,
     vertex_space,
 )
+from susygraph.operators import build_incidence
 
 
 @st.composite
@@ -403,3 +408,111 @@ def test_wide_sums_and_products_match_python_ints(pair):
                 pr, pi = product.get((r, c), (0, 0))
                 product[(r, c)] = (pr + ar * br - ai * bi, pi + ar * bi + ai * br)
     assert gaussian(a @ b.adjoint()) == {k: v for k, v in product.items() if v != (0, 0)}
+
+
+# -- kernel basis against a Fraction reference ---------------------------------
+
+
+def fraction_kernel_basis(m):
+    """Reduced row echelon form over Fraction: the reference for exact_kernel_basis.
+
+    Rows in row order, pivot = smallest live column, back-substitution into
+    earlier rows; the vector for free column f is -(column f of the RREF)
+    at the pivots and 1 at f, denominators cleared and content stripped.
+    """
+    rows: dict[int, dict[int, Fraction]] = {}
+    for r, c, re, _ in m.entries():
+        rows.setdefault(r, {})[c] = Fraction(re)
+    echelon: list[tuple[int, dict[int, Fraction]]] = []
+    for row in rows.values():
+        for pc, prow in echelon:
+            coef = row.get(pc)
+            if not coef:
+                continue
+            for c, pv in prow.items():
+                nv = row.get(c, Fraction(0)) - coef * pv
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+        if not row:
+            continue
+        pc_new = min(row)
+        inv = row[pc_new]
+        row = {c: v / inv for c, v in row.items()}
+        for _, erow in echelon:
+            coef = erow.get(pc_new)
+            if not coef:
+                continue
+            for c, pv in row.items():
+                nv = erow.get(c, Fraction(0)) - coef * pv
+                if nv:
+                    erow[c] = nv
+                else:
+                    erow.pop(c, None)
+        echelon.append((pc_new, row))
+    pivots = {pc for pc, _ in echelon}
+    basis = []
+    for f in range(m.domain.dim):
+        if f in pivots:
+            continue
+        vec = {f: Fraction(1)}
+        for pc, prow in echelon:
+            coef = prow.get(f)
+            if coef:
+                vec[pc] = -coef
+        denom = 1
+        for v in vec.values():
+            denom = denom * v.denominator // gcd(denom, v.denominator)
+        ints = {c: int(v * denom) for c, v in vec.items()}
+        g = 0
+        for v in ints.values():
+            g = gcd(g, v)
+        basis.append({c: v // g for c, v in ints.items()})
+    return basis
+
+
+@st.composite
+def rank_deficient_maps(draw, max_dim=6):
+    """k independent-looking rows up to 2**70, the rest integer combinations of them, shuffled."""
+    rows = draw(st.integers(1, max_dim))
+    cols = draw(st.integers(1, max_dim))
+    k = draw(st.integers(0, min(rows, cols)))
+    entry = st.one_of(st.just(0), wide_ints)
+    base = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(k)]
+    dense = list(base)
+    for _ in range(rows - k):
+        coefs = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        dense.append([sum(a * b[j] for a, b in zip(coefs, base)) for j in range(cols)])
+    order = draw(st.permutations(range(rows)))
+    entries = [
+        (i, j, v, 0) for i, r in enumerate(order) for j, v in enumerate(dense[r]) if v
+    ]
+    return LinearMap.from_entries(aux_space(cols), aux_space(rows), entries)
+
+
+@given(rank_deficient_maps())
+def test_exact_kernel_basis_matches_fraction_reference(m):
+    basis = exact_kernel_basis(m)
+    reference = fraction_kernel_basis(m)
+    assert basis == reference
+    assert [list(vec) for vec in basis] == [list(vec) for vec in reference]
+
+
+def test_incidence_kernels_are_components_and_unit_cycles():
+    # isolated vertices 3 and 8; component {0, 1, 5} with the reciprocal pair 0 <-> 1;
+    # component {2, 4, 6, 7} with the 4-cycle 2-4-6-7 and the chord 4 -> 7
+    edges = ((0, 1), (1, 0), (1, 5), (2, 4), (4, 6), (6, 7), (7, 2), (4, 7))
+    inc = build_incidence(DirectedGraph(9, edges))
+    assert exact_kernel_basis(inc.diff) == [
+        {3: 1},
+        {5: 1, 0: 1, 1: 1},
+        {7: 1, 2: 1, 4: 1, 6: 1},
+        {8: 1},
+    ]
+    cycles = exact_kernel_basis(inc.diff_adj)
+    assert len(cycles) == len(edges) - 9 + 4
+    for vec in cycles:
+        free = next(iter(vec))
+        assert vec[free] == 1
+        assert set(vec.values()) <= {-1, 1}

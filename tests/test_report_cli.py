@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from susygraph.cli import main
-from susygraph.graph import DirectedGraph, parse_edge_list
-from susygraph.report import build_report, round_float, serialize_report
+from susygraph.graph import DirectedGraph, format_edge_list, parse_edge_list
+from susygraph.operators import path_graph
+from susygraph.report import build_report, round_float, serialize_json, serialize_report
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 TOP_KEYS = {"graph", "algebra", "grading", "kernel", "spectra", "pairing", "polar", "cycles", "meta"}
@@ -158,6 +159,34 @@ def test_cli_bad_tolerance(capsys):
     code = main(["report", str(GRAPHS / "c3.txt"), "--tol", "-1"])
     assert code == 2
     assert "--tol must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_cli_rejects_non_finite_tolerance(tol, capsys):
+    code = main(["report", str(GRAPHS / "c3.txt"), f"--tol={tol}", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "--tol must be positive and finite" in err
+
+
+def test_serialize_json_refuses_nan():
+    rep = build_report(C3)
+    rep["meta"]["tolerance"] = float("nan")
+    with pytest.raises(ValueError):
+        serialize_json(rep)
+
+
+def test_small_eigenvalue_within_tol_is_not_a_zero_mode(tmp_path, capsys):
+    # the 60-vertex path has one exact zero mode and lambda_2 ~ 0.0027 < tol
+    path = tmp_path / "path60.txt"
+    path.write_text(format_edge_list(path_graph(60)), encoding="utf-8")
+    code = main(["report", str(path), "--tol", "1e-2", "--format", "json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["kernel"]["dim_ker_HS"] == 1
+    assert 0 < rep["spectra"]["hamiltonian"][1] <= 1e-2
+    assert rep["meta"]["consistency"]["hamiltonian_zero_count_matches"] is True
+    assert code == 0
 
 
 def test_cli_impossible_tolerance_fails_checks(capsys):
