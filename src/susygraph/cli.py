@@ -1,7 +1,8 @@
 """Command line front end: load an edge list, analyze, print a report.
 
 Exit status: 0 when every requested check passes, 1 when a check fails
-(the report is still printed), 2 on input or usage errors.
+(the report is still printed), 2 on input or usage errors, including a
+graph too large for the dense sections.
 """
 
 from __future__ import annotations
@@ -20,6 +21,12 @@ SECTIONS = {
     "kernel": ("kernel",),
     "cycles": ("cycles",),
 }
+
+# The spectra, pairing and polar sections hold dense (n + m)^2 and
+# 2(n + m)^2 arrays; a larger graph is refused before any operator is built.
+# The other sections are sparse and take graphs of any size.
+MAX_DENSE_SIZE = 4096
+DENSE_SECTIONS = {"spectra", "pairing", "polar"}
 
 HELP = {
     "report": "run every analysis and print the full report",
@@ -73,6 +80,13 @@ def main(argv: list[str] | None = None) -> int:
         graph = parse_edge_list(text, args.mode_override)
     except GraphFormatError as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
+        return 2
+    size = graph.num_vertices + graph.num_edges
+    if size > MAX_DENSE_SIZE and DENSE_SECTIONS.intersection(args.sections):
+        print(
+            f"error: {args.path}: graph too large (n + m = {size}, limit {MAX_DENSE_SIZE})",
+            file=sys.stderr,
+        )
         return 2
     report = build_report(
         graph, tol=args.tol, seed=args.seed, source_text=text, sections=args.sections

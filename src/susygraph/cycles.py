@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .graph import DirectedGraph, SpanningTree, connected_components, spanning_tree
 from .linalg import LinearMap, exact_rank, stack_columns
+from .operators import IncidenceOperators, build_incidence
 
 
 class TreeMismatch(ValueError):
@@ -188,17 +189,25 @@ class CycleSpaceReport:
         )
 
 
-def cycle_space_report(graph: DirectedGraph) -> CycleSpaceReport:
-    from .operators import build_incidence
+def cycle_space_report(
+    graph: DirectedGraph, inc: IncidenceOperators | None = None
+) -> CycleSpaceReport:
+    """Check the fundamental cycle basis of graph against exact kernel data.
 
-    inc = build_incidence(graph)
+    inc, when given, must be built from graph; its exact rank is then shared
+    with every other analysis that reads it.
+    """
+    if inc is None:
+        inc = build_incidence(graph)
+    elif inc.graph != graph:
+        raise ValueError("inc was built from a different graph")
     basis = fundamental_cycle_basis(graph)
     comps = connected_components(graph)
     expected = graph.num_edges - graph.num_vertices + len(comps)
     stacked = stack_columns(list(basis.vectors), inc.edge)
     closure = inc.diff_adj @ stacked
     rank = exact_rank(stacked) if basis.vectors else 0
-    diff_rank = exact_rank(inc.diff)
+    diff_rank = inc.rank
     kernel_dim = graph.num_edges - diff_rank
     tree_rows = {k for tree in basis.trees for k in tree.tree_edges}
     tree_entries = [
@@ -214,22 +223,4 @@ def cycle_space_report(graph: DirectedGraph) -> CycleSpaceReport:
         num_components=len(comps),
         tree_diff_rank=exact_rank(tree_diff),
         dim_ker_hamiltonian=(graph.num_vertices - diff_rank) + kernel_dim,
-    )
-
-
-def is_forest(graph: DirectedGraph) -> bool:
-    """True when the graph has no cycles at all: m = n - c exactly."""
-    comps = connected_components(graph)
-    return graph.num_edges == graph.num_vertices - len(comps)
-
-
-def cycle_vector_as_map(basis: CycleBasis, j: int) -> LinearMap:
-    """One basis vector as a single-column map into the edge space."""
-    from .linalg import aux_space, edge_space
-
-    vec = basis.vectors[j]
-    return LinearMap.from_entries(
-        aux_space(1),
-        edge_space(basis.graph.num_edges),
-        [(r, 0, v, 0) for r, v in vec.items()],
     )

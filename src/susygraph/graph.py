@@ -246,10 +246,6 @@ def connected_components(graph: DirectedGraph) -> list[list[int]]:
     return comps
 
 
-def is_connected(graph: DirectedGraph) -> bool:
-    return len(connected_components(graph)) == 1
-
-
 @dataclass(frozen=True)
 class SpanningTree:
     """BFS spanning tree of one component, plus the global leftover edges.

@@ -20,7 +20,6 @@ from .cycles import cycle_space_report
 from .graph import DirectedGraph, connected_components, format_edge_list
 from .operators import (
     build_incidence,
-    build_super_operators,
     build_vertex_operators,
     laplacian_stencil_apply,
     path_second_difference_ok,
@@ -155,8 +154,8 @@ def _polar_section(inc, tol: float) -> dict:
     }
 
 
-def _cycles_section(graph) -> dict:
-    rep = cycle_space_report(graph)
+def _cycles_section(graph, inc) -> dict:
+    rep = cycle_space_report(graph, inc)
     cycles = [
         sorted([edge, sign] for edge, sign in vec.items()) for vec in rep.basis.vectors
     ]
@@ -200,10 +199,12 @@ def build_report(
     Sections not requested are emitted as null so the top-level shape is
     constant.  meta carries tool identity, parameters, the input digest,
     the seeded stencil self-test, and cross-section consistency checks.
+    Every section reads one incidence object, so each exact rank, kernel
+    basis, Laplacian and spectrum they share is computed once.
     """
     inc = build_incidence(graph)
     vops = build_vertex_operators(inc)
-    sup = build_super_operators(inc)
+    sup = inc.super_operators
     want = set(sections)
     report: dict = {
         "graph": _graph_section(graph),
@@ -213,7 +214,7 @@ def build_report(
         "spectra": _spectra_section(sup, tol) if "spectra" in want else None,
         "pairing": _pairing_section(inc, tol) if "pairing" in want else None,
         "polar": _polar_section(inc, tol) if "polar" in want else None,
-        "cycles": _cycles_section(graph) if "cycles" in want else None,
+        "cycles": _cycles_section(graph, inc) if "cycles" in want else None,
     }
     text = source_text if source_text is not None else format_edge_list(graph)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DirectedGraph, connected_components
-from .linalg import LinearMap, StateVector, exact_kernel_basis, exact_rank, stack_columns
-from .operators import IncidenceOperators, SuperOperators, build_super_operators
+from .linalg import LinearMap, StateVector, exact_rank, stack_columns
+from .operators import IncidenceOperators, SuperOperators
 
 
 class NotSelfAdjoint(ValueError):
@@ -65,7 +65,7 @@ def kernel_report(inc: IncidenceOperators) -> KernelReport:
     for tail, _ in g.edges:
         edge_counts[vertex_to_comp[tail]] += 1
     breakdown = tuple((len(comp), edge_counts[ci]) for ci, comp in enumerate(comps))
-    rank = exact_rank(inc.diff)
+    rank = inc.rank
     n, m = g.num_vertices, g.num_edges
     dim_ker_diff = n - rank
     dim_ker_adj = m - rank
@@ -86,16 +86,6 @@ def kernel_report(inc: IncidenceOperators) -> KernelReport:
         dim_ker_hamiltonian=dim_ker_diff + dim_ker_adj,
         formulas_consistent=formulas,
     )
-
-
-def harmonic_vertex_basis(inc: IncidenceOperators) -> list[dict[int, int]]:
-    """Integer basis of the kernel of the difference operator (component indicators)."""
-    return exact_kernel_basis(inc.diff)
-
-
-def harmonic_edge_basis(inc: IncidenceOperators) -> list[dict[int, int]]:
-    """Integer basis of the kernel of the adjoint (the cycle space)."""
-    return exact_kernel_basis(inc.diff_adj)
 
 
 # -- spectra ------------------------------------------------------------------
@@ -186,11 +176,9 @@ class PairingReport:
 
 
 def pairing_check(inc: IncidenceOperators, tol: float = 1e-8) -> PairingReport:
-    rank = exact_rank(inc.diff)
-    vertex_lap = inc.diff_adj @ inc.diff
-    edge_lap = inc.diff @ inc.diff_adj
-    vspec = symmetric_spectrum(vertex_lap, tol)
-    espec = symmetric_spectrum(edge_lap, tol)
+    rank = inc.rank
+    vspec = symmetric_spectrum(inc.vertex_laplacian, tol)
+    espec = symmetric_spectrum(inc.edge_laplacian, tol)
     n, m = inc.vertex.dim, inc.edge.dim
     vz, ez = n - rank, m - rank
     v_nonzero = vspec[vz:]
@@ -206,8 +194,7 @@ def pairing_check(inc: IncidenceOperators, tol: float = 1e-8) -> PairingReport:
         zero_block = max(zero_block, float(np.max(np.abs(vspec[:vz]))))
     if ez:
         zero_block = max(zero_block, float(np.max(np.abs(espec[:ez]))))
-    sup = build_super_operators(inc)
-    hspec = symmetric_spectrum(sup.hamiltonian, tol)
+    hspec = inc.super_operators.hamiltonian_spectrum
     h_nonzero = hspec[vz + ez :]
     union = np.sort(np.concatenate([v_nonzero, e_nonzero]))
     return PairingReport(
@@ -259,7 +246,7 @@ def spectrum_symmetry_defect(spectrum: np.ndarray) -> float:
 def dirac_spectrum(sup: SuperOperators, tol: float = 1e-8) -> DiracSpectrumReport:
     q1spec = symmetric_spectrum(sup.q1, tol)
     q2spec = symmetric_spectrum(sup.q2, tol)
-    hspec = symmetric_spectrum(sup.hamiltonian, tol)
+    hspec = sup.hamiltonian_spectrum
     d1 = spectrum_symmetry_defect(q1spec)
     d2 = spectrum_symmetry_defect(q2spec)
     return DiracSpectrumReport(
@@ -319,7 +306,7 @@ class PolarReport:
         )
 
 
-def _kernel_projector(vectors: list[dict[int, int]], dim: int) -> np.ndarray:
+def _kernel_projector(vectors: tuple[dict[int, int], ...], dim: int) -> np.ndarray:
     """Orthogonal projector onto the span of exact integer kernel vectors."""
     if not vectors or dim == 0:
         return np.zeros((dim, dim))
@@ -340,11 +327,11 @@ def polar_decompose(inc: IncidenceOperators) -> PolarReport:
     singular directions with the rank fixed by exact elimination, so no
     floating cutoff decides what counts as zero.
     """
-    rank = exact_rank(inc.diff)
+    rank = inc.rank
     n, m = inc.vertex.dim, inc.edge.dim
     d = inc.diff.to_dense_real()
-    vertex_lap = (inc.diff_adj @ inc.diff).to_dense_real()
-    edge_lap = (inc.diff @ inc.diff_adj).to_dense_real()
+    vertex_lap = inc.vertex_laplacian.to_dense_real()
+    edge_lap = inc.edge_laplacian.to_dense_real()
     vvals, vvecs = np.linalg.eigh(vertex_lap)
     evals, evecs = np.linalg.eigh(edge_lap)
     # the lowest dim - rank eigenvalues are exact zeros; flattening them
@@ -374,8 +361,8 @@ def polar_decompose(inc: IncidenceOperators) -> PolarReport:
     # block modulus: [[0, S*],[S, 0]] @ diag(|d|, |d*|) = [[0, d*],[d, 0]]
     upper = isometry.T @ modulus_edge - d.T
     res_block = max(res_fact, sup(upper))
-    p_ker_vertex = _kernel_projector(exact_kernel_basis(inc.diff), n)
-    p_ker_edge = _kernel_projector(exact_kernel_basis(inc.diff_adj), m)
+    p_ker_vertex = _kernel_projector(inc.ker_diff, n)
+    p_ker_edge = _kernel_projector(inc.ker_diff_adj, m)
     res_domain = sup(isometry.T @ isometry + p_ker_vertex - np.eye(n))
     res_range = sup(isometry @ isometry.T + p_ker_edge - np.eye(m))
     return PolarReport(
@@ -451,8 +438,8 @@ def _dense_context(sup: SuperOperators, inc: IncidenceOperators) -> dict[str, np
     return {
         "d": inc.diff.to_dense(),
         "d_adj": inc.diff_adj.to_dense(),
-        "vertex_lap": (inc.diff_adj @ inc.diff).to_dense(),
-        "edge_lap": (inc.diff @ inc.diff_adj).to_dense(),
+        "vertex_lap": inc.vertex_laplacian.to_dense(),
+        "edge_lap": inc.edge_laplacian.to_dense(),
         "dirac": sup.dirac.to_dense(),
         "q2": sup.q2.to_dense(),
         "ham": sup.hamiltonian.to_dense(),
@@ -557,10 +544,8 @@ def transport_all(
     eigenpairs are skipped), so near-zero numerical eigenvalues are never
     transported by mistake.
     """
-    rank = exact_rank(inc.diff)
-    vertex_lap = inc.diff_adj @ inc.diff
-    vals, vecs = eigensystem(vertex_lap)
-    zeros = inc.vertex.dim - rank
+    vals, vecs = eigensystem(inc.vertex_laplacian)
+    zeros = inc.vertex.dim - inc.rank
     ctx = _dense_context(sup, inc)
     out = []
     for i in range(zeros, len(vals)):
@@ -602,8 +587,8 @@ def zero_mode_classification(inc: IncidenceOperators) -> ZeroModeReport:
     from .cycles import fundamental_cycle_basis
 
     rep = kernel_report(inc)
-    vertex_kernel = exact_kernel_basis(inc.diff)
-    edge_kernel = exact_kernel_basis(inc.diff_adj)
+    vertex_kernel = inc.ker_diff
+    edge_kernel = inc.ker_diff_adj
     counts = len(vertex_kernel) == rep.dim_ker_diff and len(edge_kernel) == rep.dim_ker_adj
     cycles = fundamental_cycle_basis(inc.graph)
     combined = stack_columns(list(edge_kernel) + list(cycles.vectors), inc.edge)

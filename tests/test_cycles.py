@@ -8,19 +8,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs, directed_graphs
-from susygraph.cycles import (
-    TreeMismatch,
-    cycle_space_report,
-    cycle_vector_as_map,
-    fundamental_cycle_basis,
-    is_forest,
-)
+from susygraph.cycles import CycleBasis, TreeMismatch, cycle_space_report, fundamental_cycle_basis
 from susygraph.graph import DirectedGraph, SpanningTree, connected_components, spanning_tree, symmetrize
-from susygraph.linalg import exact_rank, stack_columns
+from susygraph.linalg import LinearMap, aux_space, edge_space, exact_rank, stack_columns
 from susygraph.operators import build_incidence, path_graph
 
 C3 = DirectedGraph(3, ((0, 1), (1, 2), (2, 0)))
 PAIR = DirectedGraph(2, ((0, 1), (1, 0)))
+
+
+def is_forest(graph: DirectedGraph) -> bool:
+    """True when the graph has no cycles at all: m = n - c exactly."""
+    comps = connected_components(graph)
+    return graph.num_edges == graph.num_vertices - len(comps)
+
+
+def cycle_vector_as_map(basis: CycleBasis, j: int) -> LinearMap:
+    """One basis vector as a single-column map into the edge space."""
+    vec = basis.vectors[j]
+    return LinearMap.from_entries(
+        aux_space(1),
+        edge_space(basis.graph.num_edges),
+        [(r, 0, v, 0) for r, v in vec.items()],
+    )
 
 
 def test_c3_single_cycle():

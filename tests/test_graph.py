@@ -20,12 +20,15 @@ from susygraph.graph import (
     bfs_spheres,
     connected_components,
     format_edge_list,
-    is_connected,
     parse_edge_list,
     reorient,
     spanning_tree,
     symmetrize,
 )
+
+
+def is_connected(graph: DirectedGraph) -> bool:
+    return len(connected_components(graph)) == 1
 
 
 def test_validation_errors():

@@ -20,7 +20,6 @@ from susygraph.operators import (
     laplacian_direct,
     laplacian_stencil,
     laplacian_stencil_apply,
-    pair_difference_state,
     path_graph,
     path_second_difference_ok,
 )
@@ -28,6 +27,24 @@ from susygraph.operators import (
 K2 = DirectedGraph(2, ((0, 1),))
 C3 = DirectedGraph(3, ((0, 1), (1, 2), (2, 0)))
 PAIR = DirectedGraph(2, ((0, 1), (1, 0)))
+
+
+def pair_difference_state(inc, i: int, j: int) -> StateVector:
+    """The antisymmetric combination of the two directions between i and j.
+
+    On a graph carrying both edges i->j and j->i this is the edge function
+    with +1 on the former and -1 on the latter, the natural basis vector
+    of the unoriented picture.
+    """
+    g = inc.graph
+    forward = g.edge_index.get((i, j))
+    backward = g.edge_index.get((j, i))
+    if forward is None or backward is None:
+        raise GraphFormatError(f"graph lacks a reciprocal pair between {i} and {j}")
+    coeffs = [0] * g.num_edges
+    coeffs[forward] = 1
+    coeffs[backward] = -1
+    return StateVector.from_values(inc.edge, coeffs)
 
 
 def dense(m):

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+import susygraph.cli
 from susygraph.cli import main
 from susygraph.graph import DirectedGraph, format_edge_list, parse_edge_list
-from susygraph.operators import path_graph
+from susygraph.linalg import exact_kernel_basis, exact_rank
+from susygraph.operators import build_incidence, build_super_operators, path_graph
 from susygraph.report import build_report, round_float, serialize_json, serialize_report
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
@@ -195,6 +197,58 @@ def test_cli_impossible_tolerance_fails_checks(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert code == 1
     assert rep["meta"]["all_pass"] is False
+
+
+def test_report_computes_each_exact_quantity_once(monkeypatch):
+    # two components: a 3-cycle, so the tree part of d differs from d, and a reciprocal pair
+    graph = DirectedGraph(5, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 3)))
+    counted = {f.__name__: f for f in (exact_kernel_basis, exact_rank, build_super_operators)}
+    calls = {name: [] for name in counted}
+
+    def recorder(name, fn):
+        def record(*args, **kwargs):
+            calls[name].append(args)
+            return fn(*args, **kwargs)
+
+        return record
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "susygraph":
+            continue
+        for name, fn in counted.items():
+            if vars(module).get(name) is fn:
+                monkeypatch.setattr(module, name, recorder(name, fn))
+    rep = build_report(graph)
+    assert rep["meta"]["all_pass"] is True
+    diff = build_incidence(graph).diff
+    assert len(calls["exact_kernel_basis"]) == 2
+    assert sum(1 for args in calls["exact_rank"] if args[0] == diff) == 1
+    assert len(calls["build_super_operators"]) == 1
+
+
+def _fail_if_built(*args, **kwargs):
+    raise AssertionError("an oversized graph reached build_report")
+
+
+@pytest.mark.parametrize("command", ["report", "spectrum"])
+def test_cli_refuses_graph_too_large_for_dense_sections(command, tmp_path, monkeypatch, capsys):
+    big = tmp_path / "big.txt"
+    big.write_text("n=100000\n0 1\n")
+    monkeypatch.setattr(susygraph.cli, "build_report", _fail_if_built)
+    code = main([command, str(big), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert f"error: {big}: graph too large (n + m = 100001, limit 4096)" in err
+
+
+@pytest.mark.parametrize(
+    "command, expected", [("report", 2), ("spectrum", 2), ("check", 0), ("kernel", 0), ("cycles", 0)]
+)
+def test_cli_size_limit_only_for_dense_sections(command, expected, monkeypatch, capsys):
+    # c3 has n + m = 6; lowering the limit below it exercises the rule on a small graph
+    monkeypatch.setattr(susygraph.cli, "MAX_DENSE_SIZE", 5)
+    assert main([command, str(GRAPHS / "c3.txt"), "--format", "json"]) == expected
 
 
 def test_cli_subprocess_round_trip():
