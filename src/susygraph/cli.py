@@ -22,8 +22,9 @@ SECTIONS = {
     "cycles": ("cycles",),
 }
 
-# The spectra, pairing and polar sections hold dense (n + m)^2 and
-# 2(n + m)^2 arrays; a larger graph is refused before any operator is built.
+# The spectra, pairing and polar sections hold dense real and complex
+# (n + m)^2 arrays, the complex one being the largest; a larger graph is
+# refused before any operator is built.
 # The other sections are sparse and take graphs of any size.
 MAX_DENSE_SIZE = 4096
 DENSE_SECTIONS = {"spectra", "pairing", "polar"}

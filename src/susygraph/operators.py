@@ -183,8 +183,8 @@ class SuperOperators:
     def hamiltonian_spectrum(self) -> np.ndarray:
         """Ascending eigenvalues of hamiltonian, read-only because callers share them.
 
-        build_super_operators makes hamiltonian real, so the tolerance of the
-        complex embedding in symmetric_spectrum never applies.
+        build_super_operators makes hamiltonian real, so this is a real
+        symmetric solve.
         """
         from .spectral import symmetric_spectrum
 

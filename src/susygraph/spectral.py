@@ -91,35 +91,17 @@ def kernel_report(inc: IncidenceOperators) -> KernelReport:
 # -- spectra ------------------------------------------------------------------
 
 
-def symmetric_spectrum(m: LinearMap, tol: float = 1e-8) -> np.ndarray:
+def symmetric_spectrum(m: LinearMap) -> np.ndarray:
     """Ascending eigenvalues of an exactly self-adjoint map.
 
-    Real maps go straight to the symmetric eigensolver.  A complex map is
-    embedded as the real symmetric operator [[re, -im], [im, re]], whose
-    spectrum is that of the map with every eigenvalue doubled in
-    multiplicity; adjacent pairs are then averaged back.  The pairing of
-    the embedding is verified to tol.
+    Real maps go to the real symmetric eigensolver, complex maps to the
+    complex Hermitian one, each on the map's own dense matrix.
     """
     if not m.is_self_adjoint():
         raise NotSelfAdjoint(f"{m!r} is not self-adjoint")
     if not m.has_imag():
         return np.linalg.eigvalsh(m.to_dense_real())
-    dense = m.to_dense()
-    n = dense.shape[0]
-    emb = np.zeros((2 * n, 2 * n))
-    emb[:n, :n] = dense.real
-    emb[n:, n:] = dense.real
-    emb[:n, n:] = -dense.imag
-    emb[n:, :n] = dense.imag
-    doubled = np.linalg.eigvalsh(emb)
-    paired = doubled.reshape(-1, 2)
-    scale = max(1.0, float(np.max(np.abs(doubled))) if doubled.size else 1.0)
-    spread = float(np.max(np.abs(paired[:, 0] - paired[:, 1]))) if paired.size else 0.0
-    # floored at solver noise: the exact self-adjointness check above already
-    # rejects bad input, so a split here can only mean an implementation bug
-    if spread > max(tol, 1e-10) * scale:
-        raise NotSelfAdjoint(f"embedding pairs split by {spread}, expected doubled spectrum")
-    return paired.mean(axis=1)
+    return np.linalg.eigvalsh(m.to_dense())
 
 
 def eigensystem(m: LinearMap) -> tuple[np.ndarray, np.ndarray]:
@@ -132,17 +114,17 @@ def eigensystem(m: LinearMap) -> tuple[np.ndarray, np.ndarray]:
 
 
 def multisets_match(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """Sorted pointwise comparison, absolute below magnitude 1, relative above."""
+    """Sorted pointwise comparison, absolute below magnitude 1, relative above.
+
+    A NaN on either side never matches.
+    """
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if a.shape != b.shape:
         return False
-    for x, y in zip(a, b):
-        scale = max(abs(x), abs(y))
-        bound = tol if scale <= 1.0 else tol * scale
-        if abs(x - y) > bound:
-            return False
-    return True
+    scale = np.maximum(np.abs(a), np.abs(b))
+    bound = np.where(scale <= 1.0, tol, tol * scale)
+    return bool(np.all(np.abs(a - b) <= bound))
 
 
 @dataclass(frozen=True)
@@ -177,8 +159,8 @@ class PairingReport:
 
 def pairing_check(inc: IncidenceOperators, tol: float = 1e-8) -> PairingReport:
     rank = inc.rank
-    vspec = symmetric_spectrum(inc.vertex_laplacian, tol)
-    espec = symmetric_spectrum(inc.edge_laplacian, tol)
+    vspec = symmetric_spectrum(inc.vertex_laplacian)
+    espec = symmetric_spectrum(inc.edge_laplacian)
     n, m = inc.vertex.dim, inc.edge.dim
     vz, ez = n - rank, m - rank
     v_nonzero = vspec[vz:]
@@ -244,8 +226,8 @@ def spectrum_symmetry_defect(spectrum: np.ndarray) -> float:
 
 
 def dirac_spectrum(sup: SuperOperators, tol: float = 1e-8) -> DiracSpectrumReport:
-    q1spec = symmetric_spectrum(sup.q1, tol)
-    q2spec = symmetric_spectrum(sup.q2, tol)
+    q1spec = symmetric_spectrum(sup.q1)
+    q2spec = symmetric_spectrum(sup.q2)
     hspec = sup.hamiltonian_spectrum
     d1 = spectrum_symmetry_defect(q1spec)
     d2 = spectrum_symmetry_defect(q2spec)

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import random
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import connected_graphs, directed_graphs
-from susygraph.graph import DirectedGraph, symmetrize
+from susygraph.graph import ORIENTED, SYMMETRIC, DirectedGraph, load_edge_list, symmetrize
 from susygraph.linalg import LinearMap, StateVector, aux_space
 from susygraph.operators import build_incidence, build_super_operators, path_graph
+from susygraph.rand import random_graph
 from susygraph.spectral import (
     NotAnEigenpair,
     NotSelfAdjoint,
@@ -29,6 +33,7 @@ from susygraph.spectral import (
 K2 = DirectedGraph(2, ((0, 1),))
 C3 = DirectedGraph(3, ((0, 1), (1, 2), (2, 0)))
 PAIR = DirectedGraph(2, ((0, 1), (1, 0)))
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 
 
 def test_kernel_report_c3():
@@ -83,11 +88,77 @@ def test_symmetric_spectrum_rejects_non_self_adjoint():
         symmetric_spectrum(m)
 
 
-def test_complex_embedding_matches_direct_eigensolve():
+def embedding_spectrum(m: LinearMap) -> np.ndarray:
+    """Reference: the spectrum of a Hermitian map through its real embedding.
+
+    [[re, -im], [im, re]] is real symmetric with the spectrum of the map,
+    each eigenvalue doubled; adjacent pairs are averaged back.
+    """
+    dense = m.to_dense()
+    n = dense.shape[0]
+    emb = np.zeros((2 * n, 2 * n))
+    emb[:n, :n] = dense.real
+    emb[n:, n:] = dense.real
+    emb[:n, n:] = -dense.imag
+    emb[n:, :n] = dense.imag
+    return np.linalg.eigvalsh(emb).reshape(-1, 2).mean(axis=1)
+
+
+def assert_matches_embedding(m: LinearMap) -> None:
+    assert m.has_imag()
+    spectrum = symmetric_spectrum(m)
+    reference = embedding_spectrum(m)
+    scale = max(1.0, float(np.max(np.abs(reference))))
+    assert spectrum.shape == reference.shape
+    assert np.max(np.abs(spectrum - reference)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("path", sorted(GRAPHS.glob("*.txt")), ids=lambda p: p.stem)
+def test_q2_spectrum_matches_embedding_on_example_graphs(path):
+    assert_matches_embedding(build_super_operators(build_incidence(load_edge_list(path))).q2)
+
+
+@pytest.mark.parametrize(
+    "seed, n, p, mode",
+    [(11, 12, 0.3, ORIENTED), (12, 20, 0.2, ORIENTED), (13, 15, 0.3, SYMMETRIC)],
+)
+def test_q2_spectrum_matches_embedding_on_random_graphs(seed, n, p, mode):
+    g = random_graph(random.Random(seed), n, p, mode)
+    if mode == SYMMETRIC:
+        assert g.reciprocal_pairs
+    assert_matches_embedding(build_super_operators(build_incidence(g)).q2)
+
+
+def test_hermitian_gaussian_integer_spectrum_matches_embedding():
+    s = aux_space(3)
+    m = LinearMap.from_entries(
+        s,
+        s,
+        [
+            (0, 0, 2, 0),
+            (0, 1, 1, 1),
+            (1, 0, 1, -1),
+            (1, 1, -1, 0),
+            (1, 2, 0, 2),
+            (2, 1, 0, -2),
+            (2, 2, 3, 0),
+        ],
+    )
+    assert_matches_embedding(m)
+
+
+def test_q2_is_solved_as_one_complex_matrix(monkeypatch):
     sup = build_super_operators(build_incidence(C3))
-    via_embedding = symmetric_spectrum(sup.q2)
-    direct = np.linalg.eigvalsh(sup.q2.to_dense())
-    assert np.allclose(via_embedding, direct, atol=1e-10)
+    solve = np.linalg.eigvalsh
+    seen = []
+
+    def spy(a, *args, **kwargs):
+        seen.append((a.shape, a.dtype.kind))
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    symmetric_spectrum(sup.q2)
+    assert seen == [((6, 6), "c")]
 
 
 def test_multisets_match_scales():
@@ -96,6 +167,9 @@ def test_multisets_match_scales():
     # relative comparison above magnitude one
     assert multisets_match(np.array([1000.0]), np.array([1000.0 + 1e-6]), 1e-8)
     assert not multisets_match(np.array([1.0]), np.array([1.0, 2.0]), 1e-8)
+    # NaN never matches, not even NaN
+    assert not multisets_match(np.array([np.nan]), np.array([0.0]), 1e-8)
+    assert not multisets_match(np.array([np.nan]), np.array([np.nan]), 1e-8)
 
 
 def test_pairing_known_instances():
