@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from .cycles import cycle_space_report
 from .graph import DirectedGraph, connected_components, format_edge_list
+from .linalg import stack_columns
 from .operators import (
     build_incidence,
     build_vertex_operators,
@@ -34,6 +35,9 @@ from .spectral import (
 from .susy import AlgebraReport, verify_factorizations, verify_grading, verify_superalgebra
 
 STENCIL_TOL = 1e-12
+# Test values lie in [-B, B]: every stencil sum is an integer of magnitude at
+# most 2 * B * m, exact in float64 for any edge count below 2**42.
+STENCIL_VALUE_BOUND = 1000
 
 
 def round_float(x: float) -> float:
@@ -174,10 +178,18 @@ def _cycles_section(graph, inc) -> dict:
 
 
 def _stencil_selftest(graph, inc, vops, seed: int) -> dict:
+    """Compare the vertex Laplacian with the edge-list stencil on seeded integer values.
+
+    The operator side is an exact sparse product; the stencil's float sums
+    of these small integers are exact too, so a correct Laplacian gives a
+    defect of exactly 0 at any size, and no n x n array is formed.
+    """
     rng = random.Random(seed)
-    values = [rng.uniform(-1.0, 1.0) for _ in range(graph.num_vertices)]
-    via_operator = vops.laplacian.to_dense_real() @ np.array(values)
-    via_stencil = laplacian_stencil_apply(graph, values).real
+    n = graph.num_vertices
+    values = [rng.randint(-STENCIL_VALUE_BOUND, STENCIL_VALUE_BOUND) for _ in range(n)]
+    column = stack_columns([dict(enumerate(values))], vops.laplacian.domain)
+    via_operator = (vops.laplacian @ column).to_dense()[:, 0]
+    via_stencil = laplacian_stencil_apply(graph, values)
     defect = float(np.max(np.abs(via_operator - via_stencil))) if values else 0.0
     return {
         "path_stencil_ok": bool(path_second_difference_ok(50)),

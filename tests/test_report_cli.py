@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +15,19 @@ import susygraph.cli
 from susygraph.cli import main
 from susygraph.graph import DirectedGraph, format_edge_list, parse_edge_list
 from susygraph.linalg import exact_kernel_basis, exact_rank
-from susygraph.operators import build_incidence, build_super_operators, path_graph
-from susygraph.report import build_report, round_float, serialize_json, serialize_report
+from susygraph.operators import (
+    build_incidence,
+    build_super_operators,
+    build_vertex_operators,
+    path_graph,
+)
+from susygraph.report import (
+    _stencil_selftest,
+    build_report,
+    round_float,
+    serialize_json,
+    serialize_report,
+)
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 TOP_KEYS = {"graph", "algebra", "grading", "kernel", "spectra", "pairing", "polar", "cycles", "meta"}
@@ -92,6 +105,34 @@ def test_seed_changes_only_selftest_input():
     a["meta"].pop("seed")
     b["meta"].pop("seed")
     assert a == b
+
+
+def test_stencil_selftest_exact_on_high_degree_hub():
+    # Float test values once summed 2000 terms at the hub: a defect of 2.27e-12 > 1e-12.
+    star = DirectedGraph(2001, tuple((0, leaf) for leaf in range(1, 2001)))
+    inc = build_incidence(star)
+    selftest = _stencil_selftest(star, inc, build_vertex_operators(inc), seed=0)
+    assert selftest["random_stencil_defect"] == 0.0
+    assert selftest["stencil_ok"] is True
+
+
+def _limit_address_space():
+    # A dense float64 Laplacian of 20000 vertices alone would need 2.98 GiB.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_check_on_wide_sparse_graph_needs_no_dense_laplacian(tmp_path):
+    wide = tmp_path / "wide.txt"
+    wide.write_text("n=20000\n0 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "susygraph.cli", "check", str(wide), "--format", "json"],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["meta"]["selftest"]["random_stencil_defect"] == 0.0
 
 
 def test_digest_tracks_source_text():

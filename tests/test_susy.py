@@ -2,19 +2,84 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import directed_graphs
 from susygraph.graph import DirectedGraph, reorient
+from susygraph.linalg import LinearMap, anticommutator, commutator
 from susygraph.operators import build_incidence, build_super_operators, build_vertex_operators
 from susygraph.rand import random_reorientation
-from susygraph.susy import verify_factorizations, verify_grading, verify_superalgebra
+from susygraph.susy import (
+    AlgebraReport,
+    RelationCheck,
+    verify_factorizations,
+    verify_grading,
+    verify_superalgebra,
+)
 
 SUPER_RELATIONS = 18
 GRADING_RELATIONS = 13
+C3 = DirectedGraph(3, ((0, 1), (1, 2), (2, 0)))
+# "X and q1, q2" changes charge X and rebuilds q1 and q2 from the nilpotent
+# pair, so the defining relations hold and the shared products are used.
+CORRUPTIBLE = ("q1", "q2", "q_plus", "hamiltonian", "q_plus and q1, q2", "q_minus and q1, q2")
+
+
+def reference_superalgebra(sup) -> AlgebraReport:
+    """Every superalgebra relation from its own direct products (16 of them)."""
+
+    def direct(name, lhs, rhs):
+        diff = lhs - rhs
+        return RelationCheck(name=name, holds=diff.is_zero(), residual=diff.max_abs())
+
+    q1, q2 = sup.q1, sup.q2
+    qp, qm = sup.q_plus, sup.q_minus
+    ham = sup.hamiltonian
+    zero = LinearMap.zero(sup.super, sup.super)
+    checks = [
+        direct("q_plus squares to zero", qp @ qp, zero),
+        direct("q_minus squares to zero", qm @ qm, zero),
+        direct("q_plus, q_minus anticommute to hamiltonian", anticommutator(qp, qm), ham),
+        direct("q1 squares to hamiltonian", q1 @ q1, ham),
+        direct("q2 squares to hamiltonian", q2 @ q2, ham),
+        direct("q1, q2 anticommute", anticommutator(q1, q2), zero),
+        direct("hamiltonian commutes with q_plus", commutator(ham, qp), zero),
+        direct("hamiltonian commutes with q_minus", commutator(ham, qm), zero),
+        direct("hamiltonian commutes with q1", commutator(ham, q1), zero),
+        direct("hamiltonian commutes with q2", commutator(ham, q2), zero),
+        direct("q1 is q_plus + q_minus", qp + qm, q1),
+        direct("q2 is i(q_minus - q_plus)", (qm - qp).scale((0, 1)), q2),
+        direct("q_plus recovered by halving", (q1 + q2.scale((0, 1))).halved(), qp),
+        direct("q_minus recovered by halving", (q1 - q2.scale((0, 1))).halved(), qm),
+        direct("q1 self-adjoint", q1.adjoint(), q1),
+        direct("q2 self-adjoint", q2.adjoint(), q2),
+        direct("q_plus adjoint is q_minus", qp.adjoint(), qm),
+        direct("hamiltonian self-adjoint", ham.adjoint(), ham),
+    ]
+    return AlgebraReport(checks=tuple(checks))
+
+
+def verdicts(rep: AlgebraReport) -> list[tuple[str, bool, int]]:
+    return [(c.name, c.holds, c.residual) for c in rep.checks]
+
+
+def corrupted(sup, name: str, row: int, col: int, delta: int):
+    """sup with delta (even, so halving stays exact) added at one entry of one operator."""
+    target = name.split()[0]
+    op = getattr(sup, target)
+    dim = sup.super.dim
+    extra = [(row % dim, col % dim, delta, 0)]
+    changed = LinearMap.from_entries(op.domain, op.codomain, op.entries() + extra)
+    sup = dataclasses.replace(sup, **{target: changed})
+    if target == name:
+        return sup
+    qp, qm = sup.q_plus, sup.q_minus
+    return dataclasses.replace(sup, q1=qp + qm, q2=(qm - qp).scale((0, 1)))
 
 
 def reports_for(g: DirectedGraph):
@@ -42,7 +107,7 @@ def test_k2_all_relations_exact():
 
 
 def test_c3_all_relations_exact():
-    assert_all_exact(DirectedGraph(3, ((0, 1), (1, 2), (2, 0))))
+    assert_all_exact(C3)
 
 
 def test_edgeless_graph_trivially_passes():
@@ -102,3 +167,51 @@ def test_laplacian_exactly_invariant_under_reorientation():
         flipped = reorient(g, flips)
         vops2 = build_vertex_operators(build_incidence(flipped))
         assert vops2.laplacian == vops.laplacian
+
+
+@settings(max_examples=60)
+@given(directed_graphs(max_vertices=10))
+def test_superalgebra_matches_direct_products(g):
+    sup = build_super_operators(build_incidence(g))
+    assert verdicts(verify_superalgebra(sup)) == verdicts(reference_superalgebra(sup))
+
+
+@pytest.mark.parametrize("delta", [2, -4, 2**63])
+@pytest.mark.parametrize("at", [(0, 3), (3, 0), (1, 1), (4, 5)])
+@pytest.mark.parametrize("name", CORRUPTIBLE)
+def test_corrupted_superalgebra_matches_direct_products(name, at, delta):
+    sup = corrupted(build_super_operators(build_incidence(C3)), name, *at, delta)
+    got = verdicts(verify_superalgebra(sup))
+    assert got == verdicts(reference_superalgebra(sup))
+    assert any(not holds and residual > 0 for _, holds, residual in got)
+    defined = {n: holds for n, holds, _ in got if n.startswith(("q1 is", "q2 is"))}
+    assert all(defined.values()) == (name not in ("q1", "q2", "q_plus"))
+    if delta == 2**63:
+        assert max(residual for _, _, residual in got) >= 2**62
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    directed_graphs(min_vertices=2, max_vertices=8),
+    st.sampled_from(CORRUPTIBLE),
+    st.integers(0, 2**16),
+    st.integers(0, 2**16),
+    st.sampled_from([2, -2, 6, 2**62, -(2**63), 2**70]),
+)
+def test_corrupted_random_superalgebra_matches_direct_products(g, name, row, col, delta):
+    sup = corrupted(build_super_operators(build_incidence(g)), name, row, col, delta)
+    assert verdicts(verify_superalgebra(sup)) == verdicts(reference_superalgebra(sup))
+
+
+def test_superalgebra_forms_eight_products(monkeypatch):
+    sup = build_super_operators(build_incidence(C3))
+    products = []
+    matmul = LinearMap.__matmul__
+
+    def counted(self, other):
+        products.append((self.nnz, other.nnz))
+        return matmul(self, other)
+
+    monkeypatch.setattr(LinearMap, "__matmul__", counted)
+    assert verify_superalgebra(sup).all_hold
+    assert len(products) <= 8
