@@ -194,14 +194,14 @@ def cycle_space_report(
 ) -> CycleSpaceReport:
     """Check the fundamental cycle basis of graph against exact kernel data.
 
-    inc, when given, must be built from graph; its exact rank is then shared
-    with every other analysis that reads it.
+    inc, when given, must be built from graph; its exact rank and cycle
+    basis are then shared with every other analysis that reads it.
     """
     if inc is None:
         inc = build_incidence(graph)
     elif inc.graph != graph:
         raise ValueError("inc was built from a different graph")
-    basis = fundamental_cycle_basis(graph)
+    basis = inc.cycle_basis
     comps = connected_components(graph)
     expected = graph.num_edges - graph.num_vertices + len(comps)
     stacked = stack_columns(list(basis.vectors), inc.edge)

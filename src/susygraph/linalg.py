@@ -17,14 +17,16 @@ every component it can produce (for a product, max|A| * max|B| * 2 times
 the number of terms in one sum, at most min(nnz(A), inner dimension)).
 Below 2**62 the work runs in int64; at or above it the same code runs on
 object arrays of Python ints.  No result wraps.
-The exact elimination routines (rank, kernel basis) are fraction-free: they
-combine Python-int row dicts built once from these arrays and divide out
-each row's gcd, so no rational number is ever formed.
+The exact rank and kernel basis share one fraction-free forward echelon
+over Python-int row dicts built once from these arrays: each row's
+smallest column is cleared with the pivot row found for it earlier, and
+every combined row has its gcd divided out, so no rational number is ever
+formed.  The rank is the number of pivots; the kernel basis adds one
+bottom-up back-substitution that brings the echelon to its reduced form.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterable
@@ -367,87 +369,26 @@ class StateVector:
 # -- exact elimination --------------------------------------------------------
 
 
-def _gmul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    ar, ai = a
-    br, bi = b
-    return (ar * br - ai * bi, ar * bi + ai * br)
+def _int_rows(m: LinearMap) -> list[dict[int, int]]:
+    """The nonzero rows of m in row order, each as {col: int}.
 
-
-def _merged_gaussian_rows(m: LinearMap) -> list[dict[int, tuple[int, int]]]:
-    """The nonzero rows of m in row order, each as {col: (re, im)}."""
-    rows: dict[int, dict[int, tuple[int, int]]] = {}
-    for r, c, re, im in m.entries():
-        rows.setdefault(r, {})[c] = (re, im)
-    return list(rows.values())
-
-
-def _strip_content(row: dict[int, tuple[int, int]]) -> None:
-    g = 0
-    for re, im in row.values():
-        g = gcd(g, re)
-        g = gcd(g, im)
-        if g == 1:
-            return
-    if g > 1:
-        for c, (re, im) in row.items():
-            row[c] = (re // g, im // g)
-
-
-def exact_rank(m: LinearMap) -> int:
-    """Rank over the rationals (Gaussian rationals for complex entries).
-
-    Fraction-free sparse elimination: rows are combined as p*row - q*pivot_row
-    so every intermediate stays a Gaussian integer, with the integer content
-    of each updated row divided out to keep entries small.  Pivots are chosen
-    by least row fill, then least column fill, so the computation is
-    deterministic and never consults floating point.
+    A map with imaginary entries a + bi gives the rows of its integer block
+    form [[a, -b], [b, a]], row r as rows 2r and 2r + 1, whose rank is
+    exactly twice the rank of m over the Gaussian rationals.
     """
-    rows = _merged_gaussian_rows(m)
-    col_index: dict[int, set[int]] = defaultdict(set)
-    for i, row in enumerate(rows):
-        for c in row:
-            col_index[c].add(i)
-    active = set(range(len(rows)))
-    rank = 0
-    while active:
-        pr = min(active, key=lambda i: (len(rows[i]), i))
-        prow = rows[pr]
-        pc = min(prow, key=lambda c: (len(col_index[c]), c))
-        piv = prow[pc]
-        for i in list(col_index[pc]):
-            if i == pr:
-                continue
-            target = rows[i]
-            q = target.pop(pc)
-            col_index[pc].discard(i)
-            new: dict[int, tuple[int, int]] = {}
-            for c, v in target.items():
-                new[c] = _gmul(piv, v)
-            for c, v in prow.items():
-                if c == pc:
-                    continue
-                tr, ti = _gmul(q, v)
-                if c in new:
-                    nr, ni = new[c]
-                    nr -= tr
-                    ni -= ti
-                    if nr or ni:
-                        new[c] = (nr, ni)
-                    else:
-                        del new[c]
-                        col_index[c].discard(i)
-                else:
-                    new[c] = (-tr, -ti)
-                    col_index[c].add(i)
-            _strip_content(new)
-            rows[i] = new
-            if not new:
-                active.discard(i)
-        for c in prow:
-            col_index[c].discard(pr)
-        active.discard(pr)
-        rank += 1
-    return rank
+    rows: dict[int, dict[int, int]] = {}
+    if not m.has_imag():
+        for r, c, re, _ in m.entries():
+            rows.setdefault(r, {})[c] = re
+        return list(rows.values())
+    w = m.domain.dim
+    for r, c, re, im in m.entries():
+        upper, lower = rows.setdefault(2 * r, {}), rows.setdefault(2 * r + 1, {})
+        if re:
+            upper[c] = lower[c + w] = re
+        if im:
+            upper[c + w], lower[c] = -im, im
+    return list(rows.values())
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -456,69 +397,105 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
-def _cleared(row: dict[int, int], prow: dict[int, int], pc: int) -> dict[int, int]:
-    """p*row - q*prow with p = prow[pc] > 0 and q = row[pc], made primitive.
+def _cleared(
+    row: dict[int, int], echelon: dict[int, dict[int, int]], cols: list[int]
+) -> dict[int, int]:
+    """L*row - sum over pc in cols of (L//p)*row[pc]*echelon[pc], made primitive.
 
-    The result has no entry at pc and is a positive multiple of the rational
-    row - (q/p)*prow.
+    p = echelon[pc][pc] > 0 and L is the lcm of these pivots.  Each
+    echelon[pc] must be zero at the other columns in cols, so the result has
+    no entry at any of them and is a positive multiple of the rational
+    row - sum (row[pc]/p)*echelon[pc].
     """
-    p, q = prow[pc], row[pc]
-    new = {c: p * v for c, v in row.items()} if p != 1 else dict(row)
-    for c, v in prow.items():
-        nv = new.get(c, 0) - q * v
-        if nv:
-            new[c] = nv
-        else:
-            del new[c]
-    return _primitive(new) if new else new
+    scale = lcm(*(echelon[pc][pc] for pc in cols))
+    new = {c: scale * v for c, v in row.items()} if scale != 1 else dict(row)
+    for pc in cols:
+        prow = echelon[pc]
+        q = row[pc] * (scale // prow[pc])
+        for c, v in prow.items():
+            new[c] = new.get(c, 0) - q * v
+    return _primitive({c: v for c, v in new.items() if v})
+
+
+def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Fraction-free forward elimination: {pivot column: echelon row}.
+
+    Rows are taken in order.  While a row's smallest column already has a
+    pivot row, that column is cleared with it; otherwise the smallest column
+    becomes the row's pivot.  When one clearing step leads straight to the
+    next because the pivot row just used holds the next pivot column, that
+    pivot row is cleared of it too and kept, so later rows skip the step (a
+    star's edge rows would otherwise walk one step per earlier leaf).
+    Every echelon row is primitive with a positive pivot and no entry left
+    of it; a row that clears to nothing is dropped, so the number of pivots
+    is the rank.  Pivots keep the order they were found in.
+    """
+    echelon: dict[int, dict[int, int]] = {}
+    for row in rows:
+        prev = None
+        while row and (pc := min(row)) in echelon:
+            if prev is not None and pc in echelon[prev]:
+                echelon[prev] = _cleared(echelon[prev], echelon, [pc])
+            row = _cleared(row, echelon, [pc])
+            prev = pc
+        if row:
+            echelon[pc] = _primitive(row if row[pc] > 0 else {c: -v for c, v in row.items()})
+    return echelon
+
+
+def exact_rank(m: LinearMap) -> int:
+    """Rank over the rationals (Gaussian rationals for complex entries).
+
+    The number of pivots of the forward echelon of m's columns, taken as
+    the rows of m's adjoint.  The difference operator d has a row per edge
+    and a column per vertex, so on a graph with more edges than vertices
+    its columns are fewer rows to clear: on dense random graphs this is
+    about a third faster than eliminating d's rows.  A complex map is
+    ranked through its integer block form [[a, -b], [b, a]] for entries
+    a + bi, which has exactly twice its rank, so every intermediate is a
+    Python int and no floating point is used.
+    """
+    pivots = len(_echelon(_int_rows(m.adjoint())))
+    return pivots // 2 if m.has_imag() else pivots
 
 
 def exact_kernel_basis(m: LinearMap) -> list[dict[int, int]]:
     """An integer basis of the rational kernel of a real integer map.
 
-    Fraction-free Gauss-Jordan over Python ints.  Rows are taken in row
-    order; a row's pivot is its smallest live column, and each new pivot is
-    cleared from the earlier rows.  Every echelon row is kept primitive
-    (its gcd divided out after each combination) with a positive pivot and
-    zeros at the other pivot columns: it is its reduced row echelon row
-    scaled to the smallest integer vector.  On an incidence matrix, which
+    The forward echelon of m's rows is reduced bottom-up: in decreasing
+    pivot order, each row has the later pivot columns cleared from it by
+    rows already reduced.  Every row is then its reduced row echelon row
+    scaled to the smallest integer vector, primitive with a positive pivot
+    and zeros at the other pivot columns.  On an incidence matrix, which
     is totally unimodular, every pivot is 1 and every entry 0 or ±1.  The
     vector for free column f puts the lcm L of the pivots of the rows
     touching f at f and -a*(L//p) at each such pivot, then drops its
     content.  As the reduced echelon form is unique, this is the unique
     primitive integer kernel vector supported on f and the pivot columns
     with a positive entry at f.  Vectors follow the free columns; each has
-    key f first, then its pivots in echelon order.
+    key f first, then its pivots in the order the forward pass found them.
     """
     if m.has_imag():
         raise ValueError("kernel basis is only implemented for real integer maps")
-    echelon: list[tuple[int, dict[int, int]]] = []
-    for gaussian_row in _merged_gaussian_rows(m):
-        row = {c: re for c, (re, _) in gaussian_row.items()}
-        for pc, prow in echelon:
-            if pc in row:
-                row = _cleared(row, prow, pc)
-        if not row:
-            continue
-        pc_new = min(row)
-        g = gcd(*row.values())
-        if row[pc_new] < 0:
-            g = -g
-        row = {c: v // g for c, v in row.items()}
-        for k, (pc, erow) in enumerate(echelon):
-            if pc_new in erow:
-                echelon[k] = (pc, _cleared(erow, row, pc_new))
-        echelon.append((pc_new, row))
-    pivots = {pc for pc, _ in echelon}
+    echelon = _echelon(_int_rows(m))
+    for pc in sorted(echelon, reverse=True):
+        row = echelon[pc]
+        later = [c for c in row if c != pc and c in echelon]
+        if later:
+            echelon[pc] = _cleared(row, echelon, later)
+    touching: dict[int, list[int]] = {}
+    for pc, prow in echelon.items():
+        for c in prow:
+            touching.setdefault(c, []).append(pc)
     basis: list[dict[int, int]] = []
     for f in range(m.domain.dim):
-        if f in pivots:
+        if f in echelon:
             continue
-        touching = [(pc, prow) for pc, prow in echelon if f in prow]
-        scale = lcm(*(prow[pc] for pc, prow in touching))
+        pcs = touching.get(f, [])
+        scale = lcm(*(echelon[pc][pc] for pc in pcs))
         vec = {f: scale}
-        for pc, prow in touching:
-            vec[pc] = -prow[f] * (scale // prow[pc])
+        for pc in pcs:
+            vec[pc] = -echelon[pc][f] * (scale // echelon[pc][pc])
         basis.append(_primitive(vec))
     return basis
 

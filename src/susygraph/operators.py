@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,6 +31,9 @@ from .linalg import (
     super_space,
     vertex_space,
 )
+
+if TYPE_CHECKING:
+    from .cycles import CycleBasis
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,13 @@ class IncidenceOperators:
     def ker_diff_adj(self) -> tuple[dict[int, int], ...]:
         """Exact integer basis of the kernel of diff_adj (the cycle space)."""
         return tuple(exact_kernel_basis(self.diff_adj))
+
+    @cached_property
+    def cycle_basis(self) -> CycleBasis:
+        """The fundamental cycle basis of graph (see cycles.fundamental_cycle_basis)."""
+        from .cycles import fundamental_cycle_basis
+
+        return fundamental_cycle_basis(self.graph)
 
     @cached_property
     def vertex_laplacian(self) -> LinearMap:

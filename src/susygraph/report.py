@@ -67,8 +67,8 @@ def _graph_section(graph: DirectedGraph) -> dict:
     }
 
 
-def _algebra_section(sup, inc, vops) -> dict:
-    alg = verify_superalgebra(sup)
+def _algebra_section(inc, vops) -> dict:
+    alg = verify_superalgebra(inc.super_operators)
     fact = verify_factorizations(inc, vops)
     return {
         "all_pass": bool(alg.all_hold and fact.all_hold),
@@ -77,8 +77,8 @@ def _algebra_section(sup, inc, vops) -> dict:
     }
 
 
-def _grading_section(sup) -> dict:
-    rep = verify_grading(sup)
+def _grading_section(inc) -> dict:
+    rep = verify_grading(inc.super_operators)
     return {"all_pass": bool(rep.all_hold), "relations": _relations(rep)}
 
 
@@ -106,8 +106,8 @@ def _kernel_section(inc) -> dict:
     }
 
 
-def _spectra_section(sup, tol: float) -> dict:
-    rep = dirac_spectrum(sup, tol)
+def _spectra_section(inc, tol: float) -> dict:
+    rep = dirac_spectrum(inc.super_operators, tol)
     return {
         "q1": float_list(rep.q1_spectrum),
         "q2": float_list(rep.q2_spectrum),
@@ -212,18 +212,19 @@ def build_report(
     constant.  meta carries tool identity, parameters, the input digest,
     the seeded stencil self-test, and cross-section consistency checks.
     Every section reads one incidence object, so each exact rank, kernel
-    basis, Laplacian and spectrum they share is computed once.
+    basis, cycle basis, Laplacian and spectrum they share is computed once;
+    the super operators are built only when a section that reads them runs
+    (algebra, grading, spectra, pairing).
     """
     inc = build_incidence(graph)
     vops = build_vertex_operators(inc)
-    sup = inc.super_operators
     want = set(sections)
     report: dict = {
         "graph": _graph_section(graph),
-        "algebra": _algebra_section(sup, inc, vops) if "algebra" in want else None,
-        "grading": _grading_section(sup) if "grading" in want else None,
+        "algebra": _algebra_section(inc, vops) if "algebra" in want else None,
+        "grading": _grading_section(inc) if "grading" in want else None,
         "kernel": _kernel_section(inc) if "kernel" in want else None,
-        "spectra": _spectra_section(sup, tol) if "spectra" in want else None,
+        "spectra": _spectra_section(inc, tol) if "spectra" in want else None,
         "pairing": _pairing_section(inc, tol) if "pairing" in want else None,
         "polar": _polar_section(inc, tol) if "polar" in want else None,
         "cycles": _cycles_section(graph, inc) if "cycles" in want else None,

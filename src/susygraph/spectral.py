@@ -566,13 +566,11 @@ class ZeroModeReport:
 
 
 def zero_mode_classification(inc: IncidenceOperators) -> ZeroModeReport:
-    from .cycles import fundamental_cycle_basis
-
     rep = kernel_report(inc)
     vertex_kernel = inc.ker_diff
     edge_kernel = inc.ker_diff_adj
     counts = len(vertex_kernel) == rep.dim_ker_diff and len(edge_kernel) == rep.dim_ker_adj
-    cycles = fundamental_cycle_basis(inc.graph)
+    cycles = inc.cycle_basis
     combined = stack_columns(list(edge_kernel) + list(cycles.vectors), inc.edge)
     spans = (
         len(cycles.vectors) == rep.dim_ker_adj

@@ -516,3 +516,89 @@ def test_incidence_kernels_are_components_and_unit_cycles():
         free = next(iter(vec))
         assert vec[free] == 1
         assert set(vec.values()) <= {-1, 1}
+
+
+# -- rank against a Gaussian-integer reference ---------------------------------
+
+
+def markowitz_rank(m):
+    """Rank by fraction-free Gaussian-integer elimination with Markowitz pivots.
+
+    The reference for exact_rank, which ranks a complex map through its
+    integer block form instead.  Rows are combined as p*row - q*pivot_row in
+    Gaussian integers, with each updated row's integer content divided out;
+    the pivot row has the fewest entries, the pivot column the fewest rows.
+    """
+
+    def gmul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    merged: dict[int, dict[int, tuple[int, int]]] = {}
+    for r, c, re, im in m.entries():
+        merged.setdefault(r, {})[c] = (re, im)
+    rows = list(merged.values())
+    col_index: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            col_index.setdefault(c, set()).add(i)
+    active = set(range(len(rows)))
+    rank = 0
+    while active:
+        pr = min(active, key=lambda i: (len(rows[i]), i))
+        prow = rows[pr]
+        pc = min(prow, key=lambda c: (len(col_index[c]), c))
+        for i in col_index[pc] - {pr}:
+            target = rows[i]
+            q = target.pop(pc)
+            new = {c: gmul(prow[pc], v) for c, v in target.items()}
+            for c, v in prow.items():
+                if c != pc:
+                    tr, ti = gmul(q, v)
+                    nr, ni = new.get(c, (0, 0))
+                    new[c] = (nr - tr, ni - ti)
+            new = {c: v for c, v in new.items() if v != (0, 0)}
+            g = 0
+            for re, im in new.values():
+                g = gcd(g, re, im)
+            rows[i] = {c: (re // g, im // g) for c, (re, im) in new.items()}
+            for c in set(target) | set(prow):
+                col_index.get(c, set()).discard(i)
+            for c in rows[i]:
+                col_index[c].add(i)
+            if not rows[i]:
+                active.discard(i)
+        for c in prow:
+            col_index[c].discard(pr)
+        active.discard(pr)
+        rank += 1
+    return rank
+
+
+@st.composite
+def wide_gaussian_maps(draw, max_dim=6):
+    """Maps with Gaussian entries up to 2**70, some rows integer combinations of others."""
+    rows = draw(st.integers(1, max_dim))
+    cols = draw(st.integers(1, max_dim))
+    entry = st.one_of(st.just((0, 0)), st.tuples(wide_ints, wide_ints))
+    dense = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    for i in range(1, rows):
+        if draw(st.booleans()):
+            a, b = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+            dense[i] = [
+                (a * x[0] - b * x[1], a * x[1] + b * x[0]) for x in dense[draw(st.integers(0, i - 1))]
+            ]
+    entries = [
+        (i, j, re, im) for i, row in enumerate(dense) for j, (re, im) in enumerate(row) if re or im
+    ]
+    return LinearMap.from_entries(aux_space(cols), aux_space(rows), entries)
+
+
+@given(wide_gaussian_maps())
+def test_exact_rank_matches_gaussian_reference(m):
+    assert exact_rank(m) == markowitz_rank(m)
+    assert exact_rank(m.adjoint()) == exact_rank(m)
+
+
+@given(rank_deficient_maps())
+def test_exact_rank_matches_fraction_kernel_dimension(m):
+    assert exact_rank(m) == m.domain.dim - len(fraction_kernel_basis(m))

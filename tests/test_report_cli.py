@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import susygraph.cli
+import susygraph.operators
 from susygraph.cli import main
+from susygraph.cycles import fundamental_cycle_basis
 from susygraph.graph import DirectedGraph, format_edge_list, parse_edge_list
 from susygraph.linalg import exact_kernel_basis, exact_rank
 from susygraph.operators import (
@@ -135,6 +137,43 @@ def test_check_on_wide_sparse_graph_needs_no_dense_laplacian(tmp_path):
     assert json.loads(proc.stdout)["meta"]["selftest"]["random_stencil_defect"] == 0.0
 
 
+def _run_with_address_limit(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "susygraph.cli", *args],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        timeout=20,
+    )
+
+
+@pytest.mark.parametrize("command", ["kernel", "cycles"])
+def test_kernel_and_cycles_scale_on_long_path(command, tmp_path):
+    # Eager Gauss-Jordan back-substitution once made a 20000-vertex path quadratic.
+    path = tmp_path / "path.txt"
+    path.write_text(format_edge_list(path_graph(20000)), encoding="utf-8")
+    proc = _run_with_address_limit(command, str(path), "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["meta"]["all_pass"] is True
+    if command == "kernel":
+        assert rep["kernel"]["rank"] == 19999
+        assert rep["kernel"]["zero_modes"]["bosonic"] == 1
+    else:
+        assert rep["cycles"]["cycle_count"] == 0
+
+
+@pytest.mark.parametrize("command", ["kernel", "cycles"])
+def test_kernel_and_cycles_build_no_super_operators(command, tmp_path, monkeypatch, capsys):
+    # The edge Laplacian of a 2000-leaf star alone has 2000**2 entries.
+    star = tmp_path / "star.txt"
+    star.write_text(format_edge_list(DirectedGraph(2001, tuple((0, k) for k in range(1, 2001)))))
+    monkeypatch.setattr(susygraph.operators, "build_super_operators", _fail_if_called)
+    assert main([command, str(star), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["meta"]["all_pass"] is True
+
+
 def test_digest_tracks_source_text():
     direct = build_report(C3)
     text = (GRAPHS / "c3.txt").read_text()
@@ -243,7 +282,10 @@ def test_cli_impossible_tolerance_fails_checks(capsys):
 def test_report_computes_each_exact_quantity_once(monkeypatch):
     # two components: a 3-cycle, so the tree part of d differs from d, and a reciprocal pair
     graph = DirectedGraph(5, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 3)))
-    counted = {f.__name__: f for f in (exact_kernel_basis, exact_rank, build_super_operators)}
+    counted = {
+        f.__name__: f
+        for f in (exact_kernel_basis, exact_rank, build_super_operators, fundamental_cycle_basis)
+    }
     calls = {name: [] for name in counted}
 
     def recorder(name, fn):
@@ -265,10 +307,15 @@ def test_report_computes_each_exact_quantity_once(monkeypatch):
     assert len(calls["exact_kernel_basis"]) == 2
     assert sum(1 for args in calls["exact_rank"] if args[0] == diff) == 1
     assert len(calls["build_super_operators"]) == 1
+    assert len(calls["fundamental_cycle_basis"]) == 1
 
 
 def _fail_if_built(*args, **kwargs):
     raise AssertionError("an oversized graph reached build_report")
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("built super operators that no requested section reads")
 
 
 @pytest.mark.parametrize("command", ["report", "spectrum"])

@@ -215,3 +215,46 @@ def test_superalgebra_forms_eight_products(monkeypatch):
     monkeypatch.setattr(LinearMap, "__matmul__", counted)
     assert verify_superalgebra(sup).all_hold
     assert len(products) <= 8
+
+
+def reference_grading(sup) -> AlgebraReport:
+    """The grading relations as commutators and anticommutators checked against zero."""
+
+    def direct(name, lhs, rhs):
+        diff = lhs - rhs
+        return RelationCheck(name=name, holds=diff.is_zero(), residual=diff.max_abs())
+
+    chi = sup.grading
+    p0, p1 = sup.proj_bosonic, sup.proj_fermionic
+    ident = LinearMap.identity(sup.super)
+    zero = LinearMap.zero(sup.super, sup.super)
+    checks = [
+        direct("grading squares to identity", chi @ chi, ident),
+        direct("grading self-adjoint", chi.adjoint(), chi),
+        direct("bosonic projector idempotent", p0 @ p0, p0),
+        direct("fermionic projector idempotent", p1 @ p1, p1),
+        direct("projectors orthogonal", p0 @ p1, zero),
+        direct("projectors complete", p0 + p1, ident),
+        direct("projectors recover grading", p0 - p1, chi),
+        direct("grading anticommutes with q1", anticommutator(chi, sup.q1), zero),
+        direct("grading anticommutes with q2", anticommutator(chi, sup.q2), zero),
+        direct("grading anticommutes with q_plus", anticommutator(chi, sup.q_plus), zero),
+        direct("grading anticommutes with q_minus", anticommutator(chi, sup.q_minus), zero),
+        direct("grading commutes with hamiltonian", commutator(chi, sup.hamiltonian), zero),
+        direct("q2 is i * grading * q1", (chi @ sup.q1).scale((0, 1)), sup.q2),
+    ]
+    return AlgebraReport(checks=tuple(checks))
+
+
+@pytest.mark.parametrize("delta", [2, -4, 2**63])
+@pytest.mark.parametrize("at", [(0, 3), (3, 0), (1, 1), (4, 5)])
+@pytest.mark.parametrize("name", ["grading", "q2", "hamiltonian"])
+def test_corrupted_grading_matches_commutator_form(name, at, delta):
+    sup = build_super_operators(build_incidence(C3))
+    assert verdicts(verify_grading(sup)) == verdicts(reference_grading(sup))
+    sup = corrupted(sup, name, *at, delta)
+    got = verdicts(verify_grading(sup))
+    assert got == verdicts(reference_grading(sup))
+    # c3 has 3 vertices; a change inside a parity block of H still commutes with chi
+    invisible = name == "hamiltonian" and (at[0] < 3) == (at[1] < 3)
+    assert any(not holds and residual > 0 for _, holds, residual in got) != invisible
