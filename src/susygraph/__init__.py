@@ -12,7 +12,7 @@ ranks, cycle space) is decided by exact elimination.
 
 __version__ = "0.1.0"
 
-from .cycles import CycleBasis, CycleSpaceReport, TreeMismatch, cycle_space_report, fundamental_cycle_basis
+from .cycles import CycleBasis, CycleSpaceReport, cycle_space_report, fundamental_cycle_basis
 from .graph import (
     DirectedGraph,
     DuplicateEdge,
@@ -20,14 +20,14 @@ from .graph import (
     IndexOutOfRange,
     MalformedLine,
     SelfLoop,
-    SpanningTree,
+    SpanningForest,
     SymmetricModeViolation,
     bfs_spheres,
     connected_components,
     load_edge_list,
     parse_edge_list,
     reorient,
-    spanning_tree,
+    spanning_forest,
     symmetrize,
 )
 from .linalg import (
@@ -94,12 +94,11 @@ __all__ = [
     "SelfLoop",
     "Space",
     "SpaceMismatch",
-    "SpanningTree",
+    "SpanningForest",
     "StateVector",
     "SuperOperators",
     "SymmetricModeViolation",
     "TransportReport",
-    "TreeMismatch",
     "VertexOperators",
     "anticommutator",
     "bfs_spheres",
@@ -125,7 +124,7 @@ __all__ = [
     "reorient",
     "serialize_report",
     "serialize_triplets",
-    "spanning_tree",
+    "spanning_forest",
     "super_space",
     "symmetric_spectrum",
     "symmetrize",

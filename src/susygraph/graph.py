@@ -5,11 +5,14 @@ head).  Self-loops and duplicate directed edges are rejected; both
 orientations of the same undirected edge may coexist and are tracked as
 reciprocal pairs.  A graph declared symmetric must contain the reverse of
 every edge.
+
+One breadth-first spanning forest per graph, built on first use and kept
+as graph.spanning_forest, gives the weak components, the tree edges and
+the chords that close the fundamental cycles.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -89,20 +92,6 @@ class DirectedGraph:
         return {e: k for k, e in enumerate(self.edges)}
 
     @cached_property
-    def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for tail, head in self.edges:
-            out[tail].append(head)
-        return tuple(tuple(v) for v in out)
-
-    @cached_property
-    def in_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        inn: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for tail, head in self.edges:
-            inn[head].append(tail)
-        return tuple(tuple(v) for v in inn)
-
-    @cached_property
     def undirected_neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Neighbors ignoring direction, deduplicated, each tuple sorted."""
         adj: list[set[int]] = [set() for _ in range(self.num_vertices)]
@@ -120,6 +109,11 @@ class DirectedGraph:
             if r is not None and k < r:
                 pairs.append((k, r))
         return tuple(pairs)
+
+    @cached_property
+    def spanning_forest(self) -> SpanningForest:
+        """The breadth-first spanning forest of this graph (see spanning_forest)."""
+        return spanning_forest(self)
 
     def reverse_of(self, k: int) -> int | None:
         """Index of the reversed copy of edge k, if present."""
@@ -227,97 +221,74 @@ def reorient(graph: DirectedGraph, flips: Iterable[int]) -> DirectedGraph:
 
 def connected_components(graph: DirectedGraph) -> list[list[int]]:
     """Weakly connected components, each sorted, ordered by least vertex."""
-    seen = [False] * graph.num_vertices
-    comps: list[list[int]] = []
-    for start in range(graph.num_vertices):
-        if seen[start]:
-            continue
-        comp = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in graph.undirected_neighbors[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
+    return [list(comp) for comp in graph.spanning_forest.components]
 
 
 @dataclass(frozen=True)
-class SpanningTree:
-    """BFS spanning tree of one component, plus the global leftover edges.
+class SpanningForest:
+    """Breadth-first spanning forest of the undirected view, one tree per weak component.
 
-    tree_edges are edge indices whose underlying undirected edges form the
-    tree; for a reciprocal pair the lower index represents the pair.
-    parent maps each non-root tree vertex to its BFS parent.  non_tree_edges
-    are all remaining edge indices in the whole graph, with the convention
-    that the higher half of a reciprocal pair used by the tree also counts
-    as non-tree only through its partner entry in `partner`.
+    A reciprocal pair counts as one undirected edge, represented by its lower
+    index.  parent[v] is the BFS parent of vertex v and parent_edge[v] the
+    representative joining them, both -1 at a root; depth[v] is the distance
+    from v's root.  components lists each component's sorted vertices,
+    ordered by least vertex.  tree_edges are the sorted tree representatives;
+    chords are the remaining representatives, by component and then by index.
     """
 
-    root: int
-    vertices: tuple[int, ...]
-    parent: dict[int, int]
-    parent_edge: dict[int, int]
+    parent: tuple[int, ...]
+    parent_edge: tuple[int, ...]
+    depth: tuple[int, ...]
+    components: tuple[tuple[int, ...], ...]
     tree_edges: tuple[int, ...]
-    non_tree_edges: tuple[int, ...]
-    partner: dict[int, int]
+    chords: tuple[int, ...]
 
 
-def spanning_tree(graph: DirectedGraph, root: int = 0) -> SpanningTree:
-    """Breadth-first spanning tree of the component containing root.
+def spanning_forest(graph: DirectedGraph) -> SpanningForest:
+    """One breadth-first traversal of every weak component.
 
-    Undirected view: a reciprocal pair counts as one edge, represented by
-    the smaller index.  Neighbor exploration is in ascending vertex order,
-    so the tree is deterministic.  non_tree_edges lists every edge index of
-    the graph (all components) that is neither a tree representative nor
-    the partner of one; partners are reported in `partner` instead.
+    Roots are the least vertices of their components, taken in increasing
+    order, and neighbors are explored in increasing order, so the forest is
+    deterministic.
     """
-    if not (0 <= root < graph.num_vertices):
-        raise IndexOutOfRange(f"root {root} out of range")
-    # undirected incidence: vertex -> sorted (neighbor, representative edge index)
-    incident: list[dict[int, int]] = [{} for _ in range(graph.num_vertices)]
-    partner: dict[int, int] = {}
-    for k, r in graph.reciprocal_pairs:
-        partner[k] = r
-        partner[r] = k
+    n = graph.num_vertices
+    # vertex -> {neighbor: representative}; edges come in index order, so the
+    # lower index of a reciprocal pair is the one kept
+    incident: list[dict[int, int]] = [{} for _ in range(n)]
     for k, (tail, head) in enumerate(graph.edges):
-        rep = min(k, partner[k]) if k in partner else k
-        for a, b in ((tail, head), (head, tail)):
-            if b not in incident[a] or rep < incident[a][b]:
-                incident[a][b] = rep
-    parent: dict[int, int] = {}
-    parent_edge: dict[int, int] = {}
-    order = [root]
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in sorted(incident[v]):
-            if w in seen:
-                continue
-            seen.add(w)
-            parent[w] = v
-            parent_edge[w] = incident[v][w]
-            order.append(w)
-            queue.append(w)
-    tree = set(parent_edge.values())
-    non_tree = tuple(
-        k
-        for k in range(graph.num_edges)
-        if k not in tree and not (k in partner and partner[k] in tree)
-    )
-    return SpanningTree(
-        root=root,
-        vertices=tuple(order),
-        parent=parent,
-        parent_edge=parent_edge,
-        tree_edges=tuple(sorted(tree)),
-        non_tree_edges=non_tree,
-        partner=partner,
+        incident[tail].setdefault(head, k)
+        incident[head].setdefault(tail, k)
+    parent = [-1] * n
+    parent_edge = [-1] * n
+    depth = [-1] * n
+    component = [-1] * n
+    components: list[tuple[int, ...]] = []
+    for root in range(n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        order = [root]
+        for v in order:  # appending while iterating makes the list a FIFO queue
+            component[v] = len(components)
+            for w in sorted(incident[v]):
+                if depth[w] < 0:
+                    depth[w] = depth[v] + 1
+                    parent[w] = v
+                    parent_edge[w] = incident[v][w]
+                    order.append(w)
+        components.append(tuple(sorted(order)))
+    chords: list[list[int]] = [[] for _ in components]
+    for k, (tail, head) in enumerate(graph.edges):
+        # a tree edge is the parent edge of one of its ends
+        if incident[tail][head] == k and k != parent_edge[head] and k != parent_edge[tail]:
+            chords[component[tail]].append(k)
+    return SpanningForest(
+        parent=tuple(parent),
+        parent_edge=tuple(parent_edge),
+        depth=tuple(depth),
+        components=tuple(components),
+        tree_edges=tuple(sorted(k for k in parent_edge if k >= 0)),
+        chords=tuple(k for comp_chords in chords for k in comp_chords),
     )
 
 

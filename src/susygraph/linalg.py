@@ -177,10 +177,6 @@ class LinearMap:
         re, im = self.value.tolist()
         return list(zip(self.row.tolist(), self.col.tolist(), re, im))
 
-    def entry(self, r: int, c: int) -> tuple[int, int]:
-        hit = np.flatnonzero((self.row == r) & (self.col == c))
-        return tuple(self.value[:, hit[0]].tolist()) if hit.size else (0, 0)
-
     @property
     def nnz(self) -> int:
         return self.row.size

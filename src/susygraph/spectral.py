@@ -566,15 +566,16 @@ class ZeroModeReport:
 
 
 def zero_mode_classification(inc: IncidenceOperators) -> ZeroModeReport:
-    rep = kernel_report(inc)
+    dim_ker_diff = inc.graph.num_vertices - inc.rank
+    dim_ker_adj = inc.graph.num_edges - inc.rank
     vertex_kernel = inc.ker_diff
     edge_kernel = inc.ker_diff_adj
-    counts = len(vertex_kernel) == rep.dim_ker_diff and len(edge_kernel) == rep.dim_ker_adj
+    counts = len(vertex_kernel) == dim_ker_diff and len(edge_kernel) == dim_ker_adj
     cycles = inc.cycle_basis
     combined = stack_columns(list(edge_kernel) + list(cycles.vectors), inc.edge)
     spans = (
-        len(cycles.vectors) == rep.dim_ker_adj
-        and (exact_rank(combined) if combined.domain.dim else 0) == rep.dim_ker_adj
+        len(cycles.vectors) == dim_ker_adj
+        and (exact_rank(combined) if combined.domain.dim else 0) == dim_ker_adj
     )
     return ZeroModeReport(
         bosonic=len(vertex_kernel),

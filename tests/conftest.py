@@ -12,18 +12,24 @@ from susygraph.rand import random_connected_graph, random_graph
 
 
 @st.composite
-def directed_graphs(draw, min_vertices=1, max_vertices=10, mode=None):
-    """A random valid graph; mode=None draws oriented or symmetric."""
+def directed_graphs(draw, min_vertices=1, max_vertices=10, mode=None, shuffled=False):
+    """A random valid graph; mode=None draws oriented or symmetric.
+
+    Edges come sorted by (tail, head) unless shuffled draws their order too.
+    """
     n = draw(st.integers(min_vertices, max_vertices))
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
     which = draw(st.sampled_from([ORIENTED, SYMMETRIC])) if mode is None else mode
     if which == SYMMETRIC:
         unordered = [(a, b) for a, b in pairs if a < b]
         chosen = draw(st.sets(st.sampled_from(unordered))) if unordered else set()
-        base = DirectedGraph(n, tuple(sorted(chosen)), ORIENTED)
-        return symmetrize(base)
-    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    return DirectedGraph(n, tuple(sorted(chosen)), ORIENTED)
+        graph = symmetrize(DirectedGraph(n, tuple(sorted(chosen)), ORIENTED))
+    else:
+        chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        graph = DirectedGraph(n, tuple(sorted(chosen)), ORIENTED)
+    if shuffled:
+        graph = DirectedGraph(n, tuple(draw(st.permutations(graph.edges))), graph.mode)
+    return graph
 
 
 @st.composite

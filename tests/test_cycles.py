@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import random
+from collections import deque
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs, directed_graphs
-from susygraph.cycles import CycleBasis, TreeMismatch, cycle_space_report, fundamental_cycle_basis
-from susygraph.graph import DirectedGraph, SpanningTree, connected_components, spanning_tree, symmetrize
+from susygraph.cycles import CycleBasis, cycle_space_report, fundamental_cycle_basis
+from susygraph.graph import DirectedGraph, connected_components, symmetrize
 from susygraph.linalg import LinearMap, aux_space, edge_space, exact_rank, stack_columns
-from susygraph.operators import build_incidence, path_graph
+from susygraph.operators import build_incidence
 
 C3 = DirectedGraph(3, ((0, 1), (1, 2), (2, 0)))
 PAIR = DirectedGraph(2, ((0, 1), (1, 0)))
@@ -30,6 +31,98 @@ def cycle_vector_as_map(basis: CycleBasis, j: int) -> LinearMap:
         aux_space(1),
         edge_space(basis.graph.num_edges),
         [(r, 0, v, 0) for r, v in vec.items()],
+    )
+
+
+def reference_components(graph: DirectedGraph) -> list[list[int]]:
+    """Weak components by a BFS of their own, each sorted, ordered by least vertex."""
+    seen = [False] * graph.num_vertices
+    comps = []
+    for start in range(graph.num_vertices):
+        if seen[start]:
+            continue
+        comp, queue = [], deque([start])
+        seen[start] = True
+        while queue:
+            v = queue.popleft()
+            comp.append(v)
+            for w in graph.undirected_neighbors[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def reference_tree(graph: DirectedGraph, root: int) -> tuple[dict[int, int], dict[int, int]]:
+    """BFS tree of root's component as (parent, parent_edge) dicts.
+
+    Ascending neighbor order; a reciprocal pair is its lower index.
+    """
+    partner = dict(graph.reciprocal_pairs)
+    partner.update((r, k) for k, r in graph.reciprocal_pairs)
+    incident: list[dict[int, int]] = [{} for _ in range(graph.num_vertices)]
+    for k, (tail, head) in enumerate(graph.edges):
+        rep = min(k, partner.get(k, k))
+        for a, b in ((tail, head), (head, tail)):
+            if b not in incident[a] or rep < incident[a][b]:
+                incident[a][b] = rep
+    parent, parent_edge = {}, {}
+    seen, queue = {root}, deque([root])
+    while queue:
+        v = queue.popleft()
+        for w in sorted(incident[v]):
+            if w not in seen:
+                seen.add(w)
+                parent[w], parent_edge[w] = v, incident[v][w]
+                queue.append(w)
+    return parent, parent_edge
+
+
+def reference_cycle_basis(graph: DirectedGraph):
+    """Fundamental cycles from one tree per component, closed by root paths.
+
+    Returns (vectors, defining_edge, pair_generators, chord_generators,
+    tree_edges), built independently of the graph's spanning forest.
+    """
+    pairs = graph.reciprocal_pairs
+    vectors = [{k: 1, r: 1} for k, r in pairs]
+    chords: list[int] = []
+    tree_edges: list[int] = []
+    for comp in reference_components(graph):
+        root = comp[0]
+        parent, parent_edge = reference_tree(graph, root)
+        tree = set(parent_edge.values())
+        tree_edges.extend(tree)
+
+        def to_root(v):
+            path = [v]
+            while v != root:
+                v = parent[v]
+                path.append(v)
+            return path
+
+        for k, (tail, head) in enumerate(graph.edges):
+            r = graph.reverse_of(k)
+            if tail not in comp or k in tree or (r is not None and (r < k or r in tree)):
+                continue
+            pa, pb = to_root(head), to_root(tail)
+            on_pb = set(pb)
+            meet = next(v for v in pa if v in on_pb)
+            steps = [(v, parent[v]) for v in pa[: pa.index(meet)]]
+            steps += [(parent[v], v) for v in reversed(pb[: pb.index(meet)])]
+            vec = {k: 1}
+            for frm, to in steps:
+                j = parent_edge[frm if parent.get(frm) == to else to]
+                vec[j] = 1 if graph.edges[j] == (frm, to) else -1
+            vectors.append(vec)
+            chords.append(k)
+    return (
+        vectors,
+        tuple(r for _, r in pairs) + tuple(chords),
+        pairs,
+        tuple(chords),
+        tuple(sorted(tree_edges)),
     )
 
 
@@ -82,27 +175,6 @@ def test_cycle_signs_against_reversed_edge():
     assert -1 in vec.values()
 
 
-def test_caller_supplied_tree_and_mismatch():
-    tree = spanning_tree(C3, root=1)
-    basis = fundamental_cycle_basis(C3, tree)
-    assert basis.dimension == 1
-    assert basis.trees[0].root == 1
-    foreign = spanning_tree(path_graph(4), root=0)
-    with pytest.raises(TreeMismatch):
-        fundamental_cycle_basis(C3, foreign)
-    bogus = SpanningTree(
-        root=0,
-        vertices=(0, 1),
-        parent={1: 0},
-        parent_edge={1: 2},
-        tree_edges=(2,),
-        non_tree_edges=(0, 1),
-        partner={},
-    )
-    with pytest.raises(TreeMismatch):
-        fundamental_cycle_basis(PAIR, bogus)
-
-
 def test_report_on_disconnected_graph():
     g = DirectedGraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))
     rep = cycle_space_report(g)
@@ -123,12 +195,28 @@ def test_cycle_space_report_property(g):
         assert set(vec.values()) <= {-1, 1}
 
 
+@settings(max_examples=100)
+@given(directed_graphs(max_vertices=10, shuffled=True))
+def test_basis_matches_per_component_reference(g):
+    vectors, defining, pairs, chords, tree_edges = reference_cycle_basis(g)
+    basis = fundamental_cycle_basis(g)
+    assert [list(vec.items()) for vec in basis.vectors] == [list(v.items()) for v in vectors]
+    assert basis.defining_edge == defining
+    assert basis.pair_generators == pairs
+    assert basis.chord_generators == chords
+    assert basis.forest.tree_edges == tree_edges
+    assert connected_components(g) == reference_components(g)
+
+
 @settings(max_examples=30)
 @given(connected_graphs(max_vertices=9), st.integers(0, 10**6))
 def test_two_trees_same_span(g, seed):
+    # relabelling the vertices keeps every edge index but moves the BFS roots and order
+    perm = list(range(g.num_vertices))
+    random.Random(seed).shuffle(perm)
+    relabelled = DirectedGraph(g.num_vertices, tuple((perm[a], perm[b]) for a, b in g.edges))
     basis_a = fundamental_cycle_basis(g)
-    root = seed % g.num_vertices
-    basis_b = fundamental_cycle_basis(g, spanning_tree(g, root=root))
+    basis_b = fundamental_cycle_basis(relabelled)
     assert basis_a.dimension == basis_b.dimension
     k = basis_a.dimension
     inc = build_incidence(g)

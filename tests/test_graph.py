@@ -22,7 +22,7 @@ from susygraph.graph import (
     format_edge_list,
     parse_edge_list,
     reorient,
-    spanning_tree,
+    spanning_forest,
     symmetrize,
 )
 
@@ -132,45 +132,70 @@ def test_connected_components_order():
 
 def test_spanning_tree_path():
     g = DirectedGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
-    tree = spanning_tree(g, root=0)
-    assert tree.root == 0
-    assert sorted(tree.parent) == [1, 2, 3]
-    assert len(tree.tree_edges) == 3
-    assert len(tree.non_tree_edges) == 1
-    # BFS from 0 on the 4-cycle reaches 1 and 3 first, then 2
-    assert tree.parent[1] == 0 and tree.parent[3] == 0
-    assert tree.parent[2] in (1, 3)
+    forest = spanning_forest(g)
+    assert forest.components == ((0, 1, 2, 3),)
+    # BFS from 0 on the 4-cycle reaches 1 and 3 first, then 2 through 1
+    assert forest.parent == (-1, 0, 1, 0)
+    assert forest.parent_edge == (-1, 0, 1, 3)
+    assert forest.depth == (0, 1, 2, 1)
+    assert forest.tree_edges == (0, 1, 3)
+    assert forest.chords == (2,)
 
 
 def test_spanning_tree_deduplicates_reciprocal_pairs():
     g = symmetrize(DirectedGraph(3, ((0, 1), (1, 2))))
-    tree = spanning_tree(g, root=0)
-    # pair representatives are the lower indices 0 and 1
-    assert tree.tree_edges == (0, 1)
-    assert tree.non_tree_edges == ()
-    assert tree.partner == {0: 2, 2: 0, 1: 3, 3: 1}
+    forest = spanning_forest(g)
+    # pair representatives are the lower indices 0 and 1; no higher partner is a chord
+    assert forest.tree_edges == (0, 1)
+    assert forest.chords == ()
+    assert forest.parent_edge == (-1, 0, 1)
+    # a pair that closes no tree edge is one chord, its lower index
+    c3 = symmetrize(DirectedGraph(3, ((0, 1), (1, 2), (2, 0))))
+    assert spanning_forest(c3).chords == (1,)
 
 
 def test_spanning_tree_other_component():
-    g = DirectedGraph(4, ((0, 1), (2, 3)))
-    tree = spanning_tree(g, root=2)
-    assert tree.vertices == (2, 3)
-    assert tree.tree_edges == (1,)
-    # the other component's edge is left over
-    assert tree.non_tree_edges == (0,)
-    with pytest.raises(IndexOutOfRange):
-        spanning_tree(g, root=9)
+    # the second triangle's edges come first, and vertex 6 is isolated
+    g = DirectedGraph(7, ((3, 4), (4, 5), (5, 3), (0, 1), (1, 2), (2, 0)))
+    forest = spanning_forest(g)
+    # one tree per component, roots the least vertices, components by least vertex
+    assert forest.components == ((0, 1, 2), (3, 4, 5), (6,))
+    assert [v for v in range(7) if forest.parent[v] < 0] == [0, 3, 6]
+    assert forest.tree_edges == (0, 2, 3, 5)
+    # chords by component first, then by index
+    assert forest.chords == (4, 1)
+    assert g.spanning_forest == forest
+    assert connected_components(g) == [[0, 1, 2], [3, 4, 5], [6]]
 
 
-@given(directed_graphs(min_vertices=2, max_vertices=10))
+@given(directed_graphs(min_vertices=1, max_vertices=10, shuffled=True))
 def test_spanning_tree_properties(g):
-    tree = spanning_tree(g, root=0)
-    comp0 = next(c for c in connected_components(g) if 0 in c)
-    assert sorted(tree.vertices) == comp0
-    assert len(tree.tree_edges) == len(comp0) - 1
-    for child, par in tree.parent.items():
-        tail, head = g.edges[tree.parent_edge[child]]
-        assert {tail, head} == {child, par}
+    forest = g.spanning_forest
+    comps = forest.components
+    assert sorted(v for comp in comps for v in comp) == list(range(g.num_vertices))
+    assert [comp[0] for comp in comps] == sorted(comp[0] for comp in comps)
+    roots = [v for v in range(g.num_vertices) if forest.parent[v] < 0]
+    assert roots == [comp[0] for comp in comps]
+    for v in roots:
+        assert forest.parent_edge[v] == -1 and forest.depth[v] == 0
+    for v in range(g.num_vertices):
+        par = forest.parent[v]
+        if par >= 0:
+            tail, head = g.edges[forest.parent_edge[v]]
+            assert {tail, head} == {v, par}
+            assert forest.depth[v] == forest.depth[par] + 1
+            reverse = g.reverse_of(forest.parent_edge[v])
+            assert reverse is None or reverse > forest.parent_edge[v]
+    assert forest.tree_edges == tuple(sorted(k for k in forest.parent_edge if k >= 0))
+    assert len(forest.tree_edges) == g.num_vertices - len(comps)
+    # every edge is a tree edge, a chord, or the higher half of a reciprocal pair
+    higher = {r for _, r in g.reciprocal_pairs}
+    assert sorted(forest.tree_edges + forest.chords) == [
+        k for k in range(g.num_edges) if k not in higher
+    ]
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    keys = [(comp_of[g.edges[k][0]], k) for k in forest.chords]
+    assert keys == sorted(keys)
 
 
 def test_bfs_spheres_path():

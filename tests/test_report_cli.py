@@ -15,7 +15,7 @@ import susygraph.cli
 import susygraph.operators
 from susygraph.cli import main
 from susygraph.cycles import fundamental_cycle_basis
-from susygraph.graph import DirectedGraph, format_edge_list, parse_edge_list
+from susygraph.graph import DirectedGraph, format_edge_list, parse_edge_list, spanning_forest
 from susygraph.linalg import exact_kernel_basis, exact_rank
 from susygraph.operators import (
     build_incidence,
@@ -153,15 +153,25 @@ def test_kernel_and_cycles_scale_on_long_path(command, tmp_path):
     # Eager Gauss-Jordan back-substitution once made a 20000-vertex path quadratic.
     path = tmp_path / "path.txt"
     path.write_text(format_edge_list(path_graph(20000)), encoding="utf-8")
-    proc = _run_with_address_limit(command, str(path), "--format", "json")
-    assert proc.returncode == 0, proc.stderr
-    rep = json.loads(proc.stdout)
-    assert rep["meta"]["all_pass"] is True
-    if command == "kernel":
-        assert rep["kernel"]["rank"] == 19999
-        assert rep["kernel"]["zero_modes"]["bosonic"] == 1
-    else:
-        assert rep["cycles"]["cycle_count"] == 0
+    # One spanning tree per component, each listing every non-tree edge of the
+    # graph, once made 60000 components quadratic in time and memory.
+    triangles = tuple(
+        edge
+        for a in range(0, 60000, 3)
+        for edge in ((a, a + 1), (a + 1, a + 2), (a + 2, a))
+    )
+    many = tmp_path / "many_components.txt"
+    many.write_text(format_edge_list(DirectedGraph(100000, triangles)), encoding="utf-8")
+    for graph_file, rank, bosonic, cycle_count in ((path, 19999, 1, 0), (many, 40000, 60000, 20000)):
+        proc = _run_with_address_limit(command, str(graph_file), "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        rep = json.loads(proc.stdout)
+        assert rep["meta"]["all_pass"] is True
+        if command == "kernel":
+            assert rep["kernel"]["rank"] == rank
+            assert rep["kernel"]["zero_modes"]["bosonic"] == bosonic
+        else:
+            assert rep["cycles"]["cycle_count"] == cycle_count
 
 
 @pytest.mark.parametrize("command", ["kernel", "cycles"])
@@ -280,11 +290,15 @@ def test_cli_impossible_tolerance_fails_checks(capsys):
 
 
 def test_report_computes_each_exact_quantity_once(monkeypatch):
-    # two components: a 3-cycle, so the tree part of d differs from d, and a reciprocal pair
-    graph = DirectedGraph(5, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 3)))
     counted = {
         f.__name__: f
-        for f in (exact_kernel_basis, exact_rank, build_super_operators, fundamental_cycle_basis)
+        for f in (
+            exact_kernel_basis,
+            exact_rank,
+            build_super_operators,
+            fundamental_cycle_basis,
+            spanning_forest,
+        )
     }
     calls = {name: [] for name in counted}
 
@@ -301,13 +315,22 @@ def test_report_computes_each_exact_quantity_once(monkeypatch):
         for name, fn in counted.items():
             if vars(module).get(name) is fn:
                 monkeypatch.setattr(module, name, recorder(name, fn))
-    rep = build_report(graph)
-    assert rep["meta"]["all_pass"] is True
-    diff = build_incidence(graph).diff
-    assert len(calls["exact_kernel_basis"]) == 2
-    assert sum(1 for args in calls["exact_rank"] if args[0] == diff) == 1
-    assert len(calls["build_super_operators"]) == 1
-    assert len(calls["fundamental_cycle_basis"]) == 1
+    # two components: a 3-cycle, so the tree part of d differs from d, and a reciprocal pair;
+    # then a tree, whose tree part of d is d itself
+    for graph in (
+        DirectedGraph(5, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 3))),
+        DirectedGraph(4, ((0, 1), (2, 1), (1, 3))),
+    ):
+        for recorded in calls.values():
+            recorded.clear()
+        rep = build_report(graph)
+        assert rep["meta"]["all_pass"] is True
+        diff = build_incidence(graph).diff
+        assert len(calls["exact_kernel_basis"]) == 2
+        assert sum(1 for args in calls["exact_rank"] if args[0] == diff) == 1
+        assert len(calls["build_super_operators"]) == 1
+        assert len(calls["fundamental_cycle_basis"]) == 1
+        assert len(calls["spanning_forest"]) == 1
 
 
 def _fail_if_built(*args, **kwargs):
