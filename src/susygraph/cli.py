@@ -2,7 +2,7 @@
 
 Exit status: 0 when every requested check passes, 1 when a check fails
 (the report is still printed), 2 on input or usage errors, including a
-graph too large for the dense sections.
+graph too large for the dense sections or for the exact algebra.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import argparse
 import math
 import sys
 
-from .graph import MODES, GraphFormatError, parse_edge_list
+from .graph import MODES, DirectedGraph, GraphFormatError, parse_edge_list
 from .report import build_report, serialize_report
 
 SECTIONS = {
@@ -25,9 +25,15 @@ SECTIONS = {
 # The spectra, pairing and polar sections hold dense real and complex
 # (n + m)^2 arrays, the complex one being the largest; a larger graph is
 # refused before any operator is built.
-# The other sections are sparse and take graphs of any size.
 MAX_DENSE_SIZE = 4096
 DENSE_SECTIONS = {"spectra", "pairing", "polar"}
+# The algebra and grading sections multiply by the edge Laplacian d d*, whose
+# entries are its diagonal and the ordered pairs of edges that share a vertex.
+# A 2000-leaf star (4.0M entries) takes about 1 GB; a graph whose bound on
+# that count exceeds the limit is refused before any operator is built.
+# The kernel and cycles sections are sparse and take graphs of any size.
+MAX_EXACT_SIZE = 1 << 23
+EXACT_SECTIONS = {"algebra", "grading"}
 
 HELP = {
     "report": "run every analysis and print the full report",
@@ -66,6 +72,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def edge_laplacian_bound(graph: DirectedGraph) -> int:
+    """m + sum over vertices v of deg(v)(deg(v) - 1), at least nnz(d d*).
+
+    A reciprocal pair of edges shares two vertices, so it is counted twice
+    over; without such pairs the bound is exact.
+    """
+    degree = [0] * graph.num_vertices
+    for tail, head in graph.edges:
+        degree[tail] += 1
+        degree[head] += 1
+    return graph.num_edges + sum(k * (k - 1) for k in degree)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if not (math.isfinite(args.tol) and args.tol > 0):
@@ -89,6 +108,15 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
+    if EXACT_SECTIONS.intersection(args.sections):
+        bound = edge_laplacian_bound(graph)
+        if bound > MAX_EXACT_SIZE:
+            print(
+                f"error: {args.path}: graph too large (edge Laplacian up to {bound} entries, "
+                f"limit {MAX_EXACT_SIZE})",
+                file=sys.stderr,
+            )
+            return 2
     report = build_report(
         graph, tol=args.tol, seed=args.seed, source_text=text, sections=args.sections
     )

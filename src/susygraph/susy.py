@@ -67,22 +67,28 @@ def verify_superalgebra(sup: SuperOperators) -> AlgebraReport:
     Laplacians, so these are genuine cross-checks, not definitions
     re-stated.
 
-    Eight products are formed and shared: q+ q+, q- q-, q+ q-, q- q+, and
-    H q, q H for q = q+, q-.  The defining relations q1 = q+ + q- and
-    q2 = i(q- - q+) are checked exactly first; when both hold, q1 and q2
-    are those maps, and by exact distributivity
+    Six products are formed and shared: q+ q+, q- q-, q+ q-, q- q+, H q+
+    and q+ H.  The defining relations q1 = q+ + q- and q2 = i(q- - q+),
+    and the adjoint relations H* = H and q- = q+*, are checked exactly
+    first.  When H* = H and q- = q+* hold,
+
+        H q- - q- H = q+* H* - H* q+* = -(H q+ - q+ H)*
+
+    so [H, q-] is the negated adjoint of [H, q+], entry for entry; when
+    either fails, [H, q-] takes the two products H q- and q- H.  When q1
+    and q2 are defined, they are those maps, and by exact distributivity
 
         q1^2 = q+^2 + {q+, q-} + q-^2      q2^2 = {q+, q-} - q+^2 - q-^2
         {q1, q2} = 2i(q-^2 - q+^2)         [H, q1] = [H, q+] + [H, q-]
                                            [H, q2] = i([H, q-] - [H, q+])
 
     so each relation's difference lhs - rhs is formed from the shared
-    products by exact sums and Gaussian-integer scalings.  Arithmetic on
-    canonical maps is exact, so that difference is the same map as the
-    one the direct products give, and every verdict and residual is the
-    direct one.  When either defining relation fails, the five relations
-    on q1 and q2 take eight direct products of their own, so the branch
-    decides only the cost, never a verdict or a residual.
+    products by exact sums, adjoints and Gaussian-integer scalings.
+    Arithmetic on canonical maps is exact, so that difference is the same
+    map as the one the direct products give, and every verdict and
+    residual is the direct one.  When either defining relation fails, the
+    five relations on q1 and q2 take eight direct products of their own,
+    so the branches decide only the cost, never a verdict or a residual.
     """
     q1, q2 = sup.q1, sup.q2
     qp, qm = sup.q_plus, sup.q_minus
@@ -90,11 +96,16 @@ def verify_superalgebra(sup: SuperOperators) -> AlgebraReport:
     zero = LinearMap.zero(sup.super, sup.super)
     q1_defined = RelationCheck.of("q1 is q_plus + q_minus", qp + qm, q1)
     q2_defined = RelationCheck.of("q2 is i(q_minus - q_plus)", (qm - qp).scale((0, 1)), q2)
+    qm_adjoint = RelationCheck.of("q_plus adjoint is q_minus", qp.adjoint(), qm)
+    ham_adjoint = RelationCheck.of("hamiltonian self-adjoint", ham.adjoint(), ham)
     # Every map below that is checked against zero is its relation's lhs - rhs.
     qp_sq, qm_sq = qp @ qp, qm @ qm
     anti_defect = _difference(anticommutator(qp, qm), ham)
     comm_p = _difference(ham @ qp, qp @ ham)
-    comm_m = _difference(ham @ qm, qm @ ham)
+    if qm_adjoint.holds and ham_adjoint.holds:
+        comm_m = (-comm_p).adjoint()
+    else:
+        comm_m = _difference(ham @ qm, qm @ ham)
     if q1_defined.holds and q2_defined.holds:
         squares = qp_sq + qm_sq
         q1_sq_defect = anti_defect + squares
@@ -125,8 +136,8 @@ def verify_superalgebra(sup: SuperOperators) -> AlgebraReport:
         RelationCheck.of("q_minus recovered by halving", (q1 - q2.scale((0, 1))).halved(), qm),
         RelationCheck.of("q1 self-adjoint", q1.adjoint(), q1),
         RelationCheck.of("q2 self-adjoint", q2.adjoint(), q2),
-        RelationCheck.of("q_plus adjoint is q_minus", qp.adjoint(), qm),
-        RelationCheck.of("hamiltonian self-adjoint", ham.adjoint(), ham),
+        qm_adjoint,
+        ham_adjoint,
     ]
     return AlgebraReport(checks=tuple(checks))
 

@@ -10,10 +10,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import directed_graphs
 import susygraph.cli
 import susygraph.operators
-from susygraph.cli import main
+from susygraph.cli import edge_laplacian_bound, main
 from susygraph.cycles import fundamental_cycle_basis
 from susygraph.graph import DirectedGraph, format_edge_list, parse_edge_list, spanning_forest
 from susygraph.linalg import exact_kernel_basis, exact_rank
@@ -148,13 +150,8 @@ def _run_with_address_limit(*args):
     )
 
 
-@pytest.mark.parametrize("command", ["kernel", "cycles"])
-def test_kernel_and_cycles_scale_on_long_path(command, tmp_path):
-    # Eager Gauss-Jordan back-substitution once made a 20000-vertex path quadratic.
-    path = tmp_path / "path.txt"
-    path.write_text(format_edge_list(path_graph(20000)), encoding="utf-8")
-    # One spanning tree per component, each listing every non-tree edge of the
-    # graph, once made 60000 components quadratic in time and memory.
+def _write_many_components(tmp_path) -> Path:
+    """20000 directed triangles plus 40000 isolated vertices: n = 10**5, 60000 components."""
     triangles = tuple(
         edge
         for a in range(0, 60000, 3)
@@ -162,6 +159,17 @@ def test_kernel_and_cycles_scale_on_long_path(command, tmp_path):
     )
     many = tmp_path / "many_components.txt"
     many.write_text(format_edge_list(DirectedGraph(100000, triangles)), encoding="utf-8")
+    return many
+
+
+@pytest.mark.parametrize("command", ["kernel", "cycles"])
+def test_kernel_and_cycles_scale_on_long_path(command, tmp_path):
+    # Eager Gauss-Jordan back-substitution once made a 20000-vertex path quadratic.
+    path = tmp_path / "path.txt"
+    path.write_text(format_edge_list(path_graph(20000)), encoding="utf-8")
+    # One spanning tree per component, each listing every non-tree edge of the
+    # graph, once made 60000 components quadratic in time and memory.
+    many = _write_many_components(tmp_path)
     for graph_file, rank, bosonic, cycle_count in ((path, 19999, 1, 0), (many, 40000, 60000, 20000)):
         proc = _run_with_address_limit(command, str(graph_file), "--format", "json")
         assert proc.returncode == 0, proc.stderr
@@ -172,6 +180,14 @@ def test_kernel_and_cycles_scale_on_long_path(command, tmp_path):
             assert rep["kernel"]["zero_modes"]["bosonic"] == bosonic
         else:
             assert rep["cycles"]["cycle_count"] == cycle_count
+
+
+def test_check_scales_on_many_components(tmp_path):
+    proc = _run_with_address_limit("check", str(_write_many_components(tmp_path)), "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["meta"]["all_pass"] is True
+    assert rep["algebra"]["all_pass"] is True and rep["grading"]["all_pass"] is True
 
 
 @pytest.mark.parametrize("command", ["kernel", "cycles"])
@@ -351,6 +367,35 @@ def test_cli_refuses_graph_too_large_for_dense_sections(command, tmp_path, monke
     assert code == 2
     assert out == ""
     assert f"error: {big}: graph too large (n + m = 100001, limit 4096)" in err
+
+
+def test_cli_refuses_graph_too_large_for_exact_algebra(tmp_path, monkeypatch, capsys):
+    # 4000 leaves: n + m = 8001, and the edge Laplacian has 4000**2 = 16M entries.
+    star = tmp_path / "star.txt"
+    star.write_text(format_edge_list(DirectedGraph(4001, tuple((0, k) for k in range(1, 4001)))))
+    monkeypatch.setattr(susygraph.operators, "build_super_operators", _fail_if_called)
+    code = main(["check", str(star), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert f"error: {star}: graph too large (edge Laplacian up to 16000000 entries, limit 8388608)" in err
+
+
+@pytest.mark.parametrize("limit", [8, 9])
+@pytest.mark.parametrize("command", ["report", "check", "spectrum", "kernel", "cycles"])
+def test_cli_exact_size_limit_only_for_algebra_sections(command, limit, monkeypatch):
+    # c3 bounds its edge Laplacian by 3 + 3 * 2 * 1 = 9 entries
+    monkeypatch.setattr(susygraph.cli, "MAX_EXACT_SIZE", limit)
+    refused = limit < 9 and command in ("report", "check")
+    assert main([command, str(GRAPHS / "c3.txt"), "--format", "json"]) == (2 if refused else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(directed_graphs(max_vertices=10))
+def test_edge_laplacian_bound_counts_entries(g):
+    # exact but for reciprocal pairs, whose two entries are counted at both shared vertices
+    nnz = build_incidence(g).edge_laplacian.nnz
+    assert edge_laplacian_bound(g) == nnz + 2 * len(g.reciprocal_pairs)
 
 
 @pytest.mark.parametrize(

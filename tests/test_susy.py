@@ -27,7 +27,15 @@ GRADING_RELATIONS = 13
 C3 = DirectedGraph(3, ((0, 1), (1, 2), (2, 0)))
 # "X and q1, q2" changes charge X and rebuilds q1 and q2 from the nilpotent
 # pair, so the defining relations hold and the shared products are used.
-CORRUPTIBLE = ("q1", "q2", "q_plus", "hamiltonian", "q_plus and q1, q2", "q_minus and q1, q2")
+CORRUPTIBLE = (
+    "q1",
+    "q2",
+    "q_plus",
+    "q_minus",
+    "hamiltonian",
+    "q_plus and q1, q2",
+    "q_minus and q1, q2",
+)
 
 
 def reference_superalgebra(sup) -> AlgebraReport:
@@ -185,7 +193,7 @@ def test_corrupted_superalgebra_matches_direct_products(name, at, delta):
     assert got == verdicts(reference_superalgebra(sup))
     assert any(not holds and residual > 0 for _, holds, residual in got)
     defined = {n: holds for n, holds, _ in got if n.startswith(("q1 is", "q2 is"))}
-    assert all(defined.values()) == (name not in ("q1", "q2", "q_plus"))
+    assert all(defined.values()) == (name not in ("q1", "q2", "q_plus", "q_minus"))
     if delta == 2**63:
         assert max(residual for _, _, residual in got) >= 2**62
 
@@ -203,18 +211,54 @@ def test_corrupted_random_superalgebra_matches_direct_products(g, name, row, col
     assert verdicts(verify_superalgebra(sup)) == verdicts(reference_superalgebra(sup))
 
 
-def test_superalgebra_forms_eight_products(monkeypatch):
-    sup = build_super_operators(build_incidence(C3))
-    products = []
+@pytest.fixture
+def products(monkeypatch):
+    """The operand sizes of every exact product formed while the test runs."""
+    formed = []
     matmul = LinearMap.__matmul__
 
     def counted(self, other):
-        products.append((self.nnz, other.nnz))
+        formed.append((self.nnz, other.nnz))
         return matmul(self, other)
 
     monkeypatch.setattr(LinearMap, "__matmul__", counted)
-    assert verify_superalgebra(sup).all_hold
-    assert len(products) <= 8
+    return formed
+
+
+# [H, q_minus] is derived from [H, q_plus] only while H* = H and q_minus = q_plus*;
+# q_minus alone also leaves q1, q2 undefined, so they take 8 direct products more.
+@pytest.mark.parametrize(
+    "corruption, count",
+    [
+        (None, 6),
+        (("hamiltonian", 0, 3, 2), 8),
+        (("q_minus and q1, q2", 4, 1, 2), 8),
+        (("q_minus", 4, 1, 2), 16),
+    ],
+    ids=["exact", "hamiltonian_not_self_adjoint", "q_minus_not_adjoint", "q_minus_alone"],
+)
+def test_superalgebra_product_count(corruption, count, products):
+    sup = build_super_operators(build_incidence(C3))
+    if corruption:
+        sup = corrupted(sup, *corruption)
+    products.clear()
+    assert verify_superalgebra(sup).all_hold == (corruption is None)
+    assert len(products) == count
+
+
+@pytest.mark.parametrize("delta", [2, -4, 2**63])
+@pytest.mark.parametrize("at", [(0, 3), (1, 2), (4, 5), (5, 1)])
+def test_self_adjoint_hamiltonian_corruption_uses_derived_commutator(at, delta, products):
+    sup = build_super_operators(build_incidence(C3))
+    sup = corrupted(corrupted(sup, "hamiltonian", *at, delta), "hamiltonian", *at[::-1], delta)
+    assert sup.hamiltonian.is_self_adjoint()
+    products.clear()
+    got = verdicts(verify_superalgebra(sup))
+    assert len(products) == 6
+    assert got == verdicts(reference_superalgebra(sup))
+    residual = {name: r for name, _, r in got}
+    assert residual["hamiltonian commutes with q_minus"] > 0
+    assert residual["hamiltonian commutes with q_minus"] == residual["hamiltonian commutes with q_plus"]
 
 
 def reference_grading(sup) -> AlgebraReport:
