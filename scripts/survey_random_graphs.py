@@ -18,8 +18,9 @@ import statistics
 import time
 from dataclasses import dataclass, field
 
+from susygraph.cli import tolerance_error
 from susygraph.cycles import cycle_space_report
-from susygraph.operators import build_incidence, build_super_operators
+from susygraph.operators import build_incidence
 from susygraph.rand import random_graph
 from susygraph.spectral import dirac_spectrum, kernel_report, pairing_check, polar_decompose
 from susygraph.susy import verify_grading, verify_superalgebra
@@ -65,7 +66,7 @@ def survey(config: SurveyConfig) -> SurveyResult:
         result.total_edges += g.num_edges
 
         inc = build_incidence(g)
-        sup = build_super_operators(inc)
+        sup = inc.super_operators
 
         algebra = verify_superalgebra(sup)
         grading = verify_grading(sup)
@@ -79,7 +80,7 @@ def survey(config: SurveyConfig) -> SurveyResult:
             result.kernel_violations += 1
             result.violations.append(f"{label}: kernel dimension formulas inconsistent")
 
-        cycles = cycle_space_report(g)
+        cycles = cycle_space_report(inc)
         if not cycles.consistent:
             result.cycle_violations += 1
             result.violations.append(f"{label}: cycle space report inconsistent")
@@ -127,6 +128,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol", type=float, default=1e-8)
     args = parser.parse_args(argv)
+    problem = tolerance_error(args.tol)
+    if problem:
+        parser.error(problem)
     config = SurveyConfig(
         graphs=args.graphs, max_vertices=args.max_vertices, seed=args.seed, tol=args.tol
     )

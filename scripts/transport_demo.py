@@ -15,8 +15,9 @@ from __future__ import annotations
 import argparse
 import math
 
+from susygraph.cli import tolerance_error
 from susygraph.graph import load_edge_list
-from susygraph.operators import build_incidence, build_super_operators
+from susygraph.operators import build_incidence
 from susygraph.spectral import kernel_report, transport_all
 
 
@@ -25,15 +26,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("graph", help="edge-list file")
     parser.add_argument("--tol", type=float, default=1e-6)
     args = parser.parse_args(argv)
+    problem = tolerance_error(args.tol)
+    if problem:
+        parser.error(problem)
 
     graph = load_edge_list(args.graph)
     inc = build_incidence(graph)
-    sup = build_super_operators(inc)
     kernel = kernel_report(inc)
 
     print(f"graph: n={graph.num_vertices}, m={graph.num_edges}, mode={graph.mode}")
     print(f"zero modes: {kernel.dim_ker_diff} bosonic, {kernel.dim_ker_adj} fermionic")
-    reports = transport_all(sup, inc, tol=args.tol)
+    reports = transport_all(inc, tol=args.tol)
     print(f"transporting {len(reports)} positive eigenpairs (tol={args.tol:g})")
     print(f"{'energy':>12}  {'dirac':>12}  {'residual':>10}  independent")
     worst = 0.0

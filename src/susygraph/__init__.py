@@ -48,10 +48,7 @@ from .operators import (
     IncidenceOperators,
     SuperOperators,
     VertexOperators,
-    build_edge_laplacian,
     build_incidence,
-    build_super_operators,
-    build_vertex_operators,
     path_graph,
 )
 from .report import build_report, serialize_report
@@ -102,11 +99,8 @@ __all__ = [
     "VertexOperators",
     "anticommutator",
     "bfs_spheres",
-    "build_edge_laplacian",
     "build_incidence",
     "build_report",
-    "build_super_operators",
-    "build_vertex_operators",
     "commutator",
     "connected_components",
     "cycle_space_report",

@@ -85,10 +85,18 @@ def edge_laplacian_bound(graph: DirectedGraph) -> int:
     return graph.num_edges + sum(k * (k - 1) for k in degree)
 
 
+def tolerance_error(tol: float) -> str | None:
+    """Why tol cannot be a tolerance, or None when it is positive and finite."""
+    if math.isfinite(tol) and tol > 0:
+        return None
+    return f"--tol must be positive and finite, got {tol}"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        print(f"error: --tol must be positive and finite, got {args.tol}", file=sys.stderr)
+    problem = tolerance_error(args.tol)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     try:
         with open(args.path, encoding="utf-8") as fh:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .graph import DirectedGraph, SpanningForest
 from .linalg import LinearMap, exact_rank, stack_columns
-from .operators import IncidenceOperators, build_incidence
+from .operators import IncidenceOperators
 
 
 @dataclass(frozen=True)
@@ -128,18 +128,13 @@ class CycleSpaceReport:
         )
 
 
-def cycle_space_report(
-    graph: DirectedGraph, inc: IncidenceOperators | None = None
-) -> CycleSpaceReport:
-    """Check the fundamental cycle basis of graph against exact kernel data.
+def cycle_space_report(inc: IncidenceOperators) -> CycleSpaceReport:
+    """Check the fundamental cycle basis of inc.graph against exact kernel data.
 
-    inc, when given, must be built from graph; its exact rank and cycle
-    basis are then shared with every other analysis that reads it.
+    The cycle basis and the exact rank of the difference operator are
+    inc's own, so they are shared with every other analysis handed inc.
     """
-    if inc is None:
-        inc = build_incidence(graph)
-    elif inc.graph != graph:
-        raise ValueError("inc was built from a different graph")
+    graph = inc.graph
     basis = inc.cycle_basis
     forest = basis.forest
     expected = graph.num_edges - graph.num_vertices + len(forest.components)

@@ -90,6 +90,11 @@ class IncidenceOperators:
         return self.diff @ self.diff_adj
 
     @cached_property
+    def vertex_operators(self) -> VertexOperators:
+        """build_vertex_operators applied to this instance."""
+        return build_vertex_operators(self)
+
+    @cached_property
     def super_operators(self) -> SuperOperators:
         """build_super_operators applied to this instance."""
         return build_super_operators(self)
@@ -154,11 +159,6 @@ def build_vertex_operators(inc: IncidenceOperators) -> VertexOperators:
     )
 
 
-def build_edge_laplacian(inc: IncidenceOperators) -> LinearMap:
-    """The partner Laplacian diff diff* on edge functions."""
-    return inc.edge_laplacian
-
-
 def _embed(block: LinearMap, sup: Space, row_off: int, col_off: int) -> LinearMap:
     # A constant offset keeps the (row, col) order, so the block stays canonical.
     return LinearMap(sup, sup, block.row + row_off, block.col + col_off, block.value)
@@ -168,9 +168,10 @@ def _embed(block: LinearMap, sup: Space, row_off: int, col_off: int) -> LinearMa
 class SuperOperators:
     """The supersymmetric package on the direct sum space (vertex block first).
 
-    dirac is the off-diagonal first-order operator whose square is the
-    hamiltonian.  q1 = dirac and q2 = i * grading * q1 are the hermitian
-    supercharges; q_plus and q_minus are the nilpotent ladder halves.
+    q1 is the Dirac operator, the off-diagonal first-order operator whose
+    square is the hamiltonian.  q1 and q2 = i * grading * q1 are the
+    hermitian supercharges; q_plus and q_minus are the nilpotent ladder
+    halves, q1 = q_plus + q_minus.
     grading is the parity involution (+1 on vertex functions, -1 on edge
     functions), with proj_bosonic and proj_fermionic its eigenprojectors.
     hamiltonian is block-diagonal: vertex Laplacian and edge Laplacian.
@@ -180,7 +181,6 @@ class SuperOperators:
     super: Space
     vertex: Space
     edge: Space
-    dirac: LinearMap
     q1: LinearMap
     q2: LinearMap
     q_plus: LinearMap
@@ -210,7 +210,6 @@ def build_super_operators(inc: IncidenceOperators) -> SuperOperators:
     sup = super_space(n, m)
     diff_block = _embed(inc.diff, sup, n, 0)
     adj_block = _embed(inc.diff_adj, sup, 0, n)
-    dirac = diff_block + adj_block
     q_plus = diff_block
     q_minus = adj_block
     q2 = adj_block.scale((0, 1)) + diff_block.scale((0, -1))
@@ -231,8 +230,7 @@ def build_super_operators(inc: IncidenceOperators) -> SuperOperators:
         super=sup,
         vertex=inc.vertex,
         edge=inc.edge,
-        dirac=dirac,
-        q1=dirac,
+        q1=diff_block + adj_block,
         q2=q2,
         q_plus=q_plus,
         q_minus=q_minus,
@@ -285,9 +283,8 @@ def path_graph(num_vertices: int) -> DirectedGraph:
 
 def laplacian_stencil(inc: IncidenceOperators) -> dict[int, dict[int, int]]:
     """Rows of the partner Laplacian as {edge: {edge: weight}} for stencil checks."""
-    edge_lap = build_edge_laplacian(inc)
     rows: dict[int, dict[int, int]] = {}
-    for r, c, re, _ in edge_lap.entries():
+    for r, c, re, _ in inc.edge_laplacian.entries():
         rows.setdefault(r, {})[c] = re
     return rows
 

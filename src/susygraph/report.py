@@ -19,12 +19,7 @@ from . import __version__
 from .cycles import cycle_space_report
 from .graph import DirectedGraph, connected_components, format_edge_list
 from .linalg import stack_columns
-from .operators import (
-    build_incidence,
-    build_vertex_operators,
-    laplacian_stencil_apply,
-    path_second_difference_ok,
-)
+from .operators import build_incidence, laplacian_stencil_apply, path_second_difference_ok
 from .spectral import (
     dirac_spectrum,
     kernel_report,
@@ -67,9 +62,9 @@ def _graph_section(graph: DirectedGraph) -> dict:
     }
 
 
-def _algebra_section(inc, vops) -> dict:
+def _algebra_section(inc) -> dict:
     alg = verify_superalgebra(inc.super_operators)
-    fact = verify_factorizations(inc, vops)
+    fact = verify_factorizations(inc)
     return {
         "all_pass": bool(alg.all_hold and fact.all_hold),
         "relations": _relations(alg),
@@ -158,8 +153,8 @@ def _polar_section(inc, tol: float) -> dict:
     }
 
 
-def _cycles_section(graph, inc) -> dict:
-    rep = cycle_space_report(graph, inc)
+def _cycles_section(inc) -> dict:
+    rep = cycle_space_report(inc)
     cycles = [
         sorted([edge, sign] for edge, sign in vec.items()) for vec in rep.basis.vectors
     ]
@@ -177,7 +172,7 @@ def _cycles_section(graph, inc) -> dict:
     }
 
 
-def _stencil_selftest(graph, inc, vops, seed: int) -> dict:
+def _stencil_selftest(inc, seed: int) -> dict:
     """Compare the vertex Laplacian with the edge-list stencil on seeded integer values.
 
     The operator side is an exact sparse product; the stencil's float sums
@@ -185,11 +180,12 @@ def _stencil_selftest(graph, inc, vops, seed: int) -> dict:
     defect of exactly 0 at any size, and no n x n array is formed.
     """
     rng = random.Random(seed)
-    n = graph.num_vertices
+    n = inc.vertex.dim
     values = [rng.randint(-STENCIL_VALUE_BOUND, STENCIL_VALUE_BOUND) for _ in range(n)]
-    column = stack_columns([dict(enumerate(values))], vops.laplacian.domain)
-    via_operator = (vops.laplacian @ column).to_dense()[:, 0]
-    via_stencil = laplacian_stencil_apply(graph, values)
+    laplacian = inc.vertex_operators.laplacian
+    column = stack_columns([dict(enumerate(values))], laplacian.domain)
+    via_operator = (laplacian @ column).to_dense()[:, 0]
+    via_stencil = laplacian_stencil_apply(inc.graph, values)
     defect = float(np.max(np.abs(via_operator - via_stencil))) if values else 0.0
     return {
         "path_stencil_ok": bool(path_second_difference_ok(50)),
@@ -212,22 +208,21 @@ def build_report(
     constant.  meta carries tool identity, parameters, the input digest,
     the seeded stencil self-test, and cross-section consistency checks.
     Every section reads one incidence object, so each exact rank, kernel
-    basis, cycle basis, Laplacian and spectrum they share is computed once;
-    the super operators are built only when a section that reads them runs
-    (algebra, grading, spectra, pairing).
+    basis, cycle basis, Laplacian, vertex operator and spectrum they share
+    is computed once; the super operators are built only when a section
+    that reads them runs (algebra, grading, spectra, pairing).
     """
     inc = build_incidence(graph)
-    vops = build_vertex_operators(inc)
     want = set(sections)
     report: dict = {
         "graph": _graph_section(graph),
-        "algebra": _algebra_section(inc, vops) if "algebra" in want else None,
+        "algebra": _algebra_section(inc) if "algebra" in want else None,
         "grading": _grading_section(inc) if "grading" in want else None,
         "kernel": _kernel_section(inc) if "kernel" in want else None,
         "spectra": _spectra_section(inc, tol) if "spectra" in want else None,
         "pairing": _pairing_section(inc, tol) if "pairing" in want else None,
         "polar": _polar_section(inc, tol) if "polar" in want else None,
-        "cycles": _cycles_section(graph, inc) if "cycles" in want else None,
+        "cycles": _cycles_section(inc) if "cycles" in want else None,
     }
     text = source_text if source_text is not None else format_edge_list(graph)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -241,7 +236,7 @@ def build_report(
         consistency["cycles_match_fermionic_zero_modes"] = bool(
             report["cycles"]["cycle_count"] == report["kernel"]["zero_modes"]["fermionic"]
         )
-    selftest = _stencil_selftest(graph, inc, vops, seed)
+    selftest = _stencil_selftest(inc, seed)
     verdicts = [selftest["stencil_ok"]]
     for key in ("algebra", "grading"):
         if report[key] is not None:

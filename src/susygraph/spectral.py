@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedGraph, connected_components
-from .linalg import LinearMap, StateVector, exact_rank, stack_columns
+from .graph import connected_components
+from .linalg import LinearMap, Space, StateVector, exact_rank, stack_columns
 from .operators import IncidenceOperators, SuperOperators
 
 
@@ -91,26 +91,30 @@ def kernel_report(inc: IncidenceOperators) -> KernelReport:
 # -- spectra ------------------------------------------------------------------
 
 
-def symmetric_spectrum(m: LinearMap) -> np.ndarray:
-    """Ascending eigenvalues of an exactly self-adjoint map.
+def _sup(x: np.ndarray) -> float:
+    """Sup norm of an array, 0 for an empty one."""
+    return float(np.max(np.abs(x))) if x.size else 0.0
 
-    Real maps go to the real symmetric eigensolver, complex maps to the
-    complex Hermitian one, each on the map's own dense matrix.
+
+def _self_adjoint_dense(m: LinearMap) -> np.ndarray:
+    """The dense matrix of an exactly self-adjoint map, real when m has no imaginary part.
+
+    Real maps thus go to the real symmetric eigensolver and complex maps
+    to the complex Hermitian one.
     """
     if not m.is_self_adjoint():
         raise NotSelfAdjoint(f"{m!r} is not self-adjoint")
-    if not m.has_imag():
-        return np.linalg.eigvalsh(m.to_dense_real())
-    return np.linalg.eigvalsh(m.to_dense())
+    return m.to_dense() if m.has_imag() else m.to_dense_real()
+
+
+def symmetric_spectrum(m: LinearMap) -> np.ndarray:
+    """Ascending eigenvalues of an exactly self-adjoint map."""
+    return np.linalg.eigvalsh(_self_adjoint_dense(m))
 
 
 def eigensystem(m: LinearMap) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and orthonormal eigenvectors of a self-adjoint map."""
-    if not m.is_self_adjoint():
-        raise NotSelfAdjoint(f"{m!r} is not self-adjoint")
-    if m.has_imag():
-        return np.linalg.eigh(m.to_dense())
-    return np.linalg.eigh(m.to_dense_real())
+    return np.linalg.eigh(_self_adjoint_dense(m))
 
 
 def multisets_match(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
@@ -170,12 +174,8 @@ def pairing_check(inc: IncidenceOperators, tol: float = 1e-8) -> PairingReport:
     else:
         sing = np.zeros(0)
     sing_nonzero = np.sort(sing[:rank])  # numpy sorts singular values descending
-    max_mismatch = float(np.max(np.abs(v_nonzero - e_nonzero))) if rank else 0.0
-    zero_block = 0.0
-    if vz:
-        zero_block = max(zero_block, float(np.max(np.abs(vspec[:vz]))))
-    if ez:
-        zero_block = max(zero_block, float(np.max(np.abs(espec[:ez]))))
+    max_mismatch = _sup(v_nonzero - e_nonzero)
+    zero_block = max(_sup(vspec[:vz]), _sup(espec[:ez]))
     hspec = inc.super_operators.hamiltonian_spectrum
     h_nonzero = hspec[vz + ez :]
     union = np.sort(np.concatenate([v_nonzero, e_nonzero]))
@@ -222,7 +222,7 @@ class DiracSpectrumReport:
 def spectrum_symmetry_defect(spectrum: np.ndarray) -> float:
     """How far a sorted spectrum is from being invariant under negation."""
     s = np.sort(np.asarray(spectrum, dtype=float))
-    return float(np.max(np.abs(s + s[::-1]))) if s.size else 0.0
+    return _sup(s + s[::-1])
 
 
 def dirac_spectrum(sup: SuperOperators, tol: float = 1e-8) -> DiracSpectrumReport:
@@ -288,15 +288,11 @@ class PolarReport:
         )
 
 
-def _kernel_projector(vectors: tuple[dict[int, int], ...], dim: int) -> np.ndarray:
-    """Orthogonal projector onto the span of exact integer kernel vectors."""
-    if not vectors or dim == 0:
-        return np.zeros((dim, dim))
-    cols = np.zeros((dim, len(vectors)))
-    for j, vec in enumerate(vectors):
-        for r, v in vec.items():
-            cols[r, j] = v
-    q, _ = np.linalg.qr(cols)
+def _kernel_projector(vectors: tuple[dict[int, int], ...], space: Space) -> np.ndarray:
+    """Orthogonal projector onto the span of exact integer kernel vectors in space."""
+    if not vectors or space.dim == 0:
+        return np.zeros((space.dim, space.dim))
+    q, _ = np.linalg.qr(stack_columns(list(vectors), space).to_dense_real())
     return q @ q.T
 
 
@@ -329,24 +325,21 @@ def polar_decompose(inc: IncidenceOperators) -> PolarReport:
         sing = np.zeros(0)
         isometry = np.zeros((m, n))
 
-    def sup(x: np.ndarray) -> float:
-        return float(np.max(np.abs(x))) if x.size else 0.0
-
-    res_fact = sup(isometry @ modulus_vertex - d)
-    res_adj = sup(modulus_vertex @ isometry.T - d.T)
-    res_transport = sup(isometry @ modulus_vertex @ isometry.T - modulus_edge)
-    res_partial = sup(isometry @ isometry.T @ isometry - isometry)
-    res_inter = sup(
+    res_fact = _sup(isometry @ modulus_vertex - d)
+    res_adj = _sup(modulus_vertex @ isometry.T - d.T)
+    res_transport = _sup(isometry @ modulus_vertex @ isometry.T - modulus_edge)
+    res_partial = _sup(isometry @ isometry.T @ isometry - isometry)
+    res_inter = _sup(
         isometry @ vertex_lap @ isometry.T - edge_lap @ (isometry @ isometry.T)
     )
     # the first-order block operator equals the block isometry times the
     # block modulus: [[0, S*],[S, 0]] @ diag(|d|, |d*|) = [[0, d*],[d, 0]]
     upper = isometry.T @ modulus_edge - d.T
-    res_block = max(res_fact, sup(upper))
-    p_ker_vertex = _kernel_projector(inc.ker_diff, n)
-    p_ker_edge = _kernel_projector(inc.ker_diff_adj, m)
-    res_domain = sup(isometry.T @ isometry + p_ker_vertex - np.eye(n))
-    res_range = sup(isometry @ isometry.T + p_ker_edge - np.eye(m))
+    res_block = max(res_fact, _sup(upper))
+    p_ker_vertex = _kernel_projector(inc.ker_diff, inc.vertex)
+    p_ker_edge = _kernel_projector(inc.ker_diff_adj, inc.edge)
+    res_domain = _sup(isometry.T @ isometry + p_ker_vertex - np.eye(n))
+    res_range = _sup(isometry @ isometry.T + p_ker_edge - np.eye(m))
     return PolarReport(
         rank=rank,
         singular_values=sing[:rank],
@@ -412,17 +405,14 @@ class TransportReport:
         )
 
 
-def _sup(vec: np.ndarray) -> float:
-    return float(np.max(np.abs(vec))) if vec.size else 0.0
-
-
-def _dense_context(sup: SuperOperators, inc: IncidenceOperators) -> dict[str, np.ndarray]:
+def _dense_context(inc: IncidenceOperators) -> dict[str, np.ndarray]:
+    sup = inc.super_operators
     return {
         "d": inc.diff.to_dense(),
         "d_adj": inc.diff_adj.to_dense(),
         "vertex_lap": inc.vertex_laplacian.to_dense(),
         "edge_lap": inc.edge_laplacian.to_dense(),
-        "dirac": sup.dirac.to_dense(),
+        "q1": sup.q1.to_dense(),
         "q2": sup.q2.to_dense(),
         "ham": sup.hamiltonian.to_dense(),
         "chi": sup.grading.to_dense(),
@@ -430,7 +420,6 @@ def _dense_context(sup: SuperOperators, inc: IncidenceOperators) -> dict[str, np
 
 
 def transport_eigenpair(
-    sup: SuperOperators,
     inc: IncidenceOperators,
     energy: float,
     vertex_vector: StateVector,
@@ -442,7 +431,7 @@ def transport_eigenpair(
     tol, if the energy is not positive, or if the vector is negligibly
     small.
     """
-    return _transport(_dense_context(sup, inc), inc, energy, vertex_vector, tol)
+    return _transport(_dense_context(inc), inc, energy, vertex_vector, tol)
 
 
 def _transport(
@@ -469,14 +458,14 @@ def _transport(
     res_edge = _sup(ctx["edge_lap"] @ g - energy * g) / norm_f
     res_down = _sup(ctx["d_adj"] @ g - root * f) / norm_f
     res_up = _sup(d @ f - root * g) / norm_f
-    dirac = ctx["dirac"]
+    q1 = ctx["q1"]
     q2 = ctx["q2"]
     ham = ctx["ham"]
     chi = ctx["chi"]
     plus = np.concatenate([f, g])
     minus = np.concatenate([f, -g])
-    res_dirac_plus = _sup(dirac @ plus - root * plus) / norm_f
-    res_dirac_minus = _sup(dirac @ minus + root * minus) / norm_f
+    res_dirac_plus = _sup(q1 @ plus - root * plus) / norm_f
+    res_dirac_minus = _sup(q1 @ minus + root * minus) / norm_f
     # the second charge pairs the phase-twisted vertex part with the same edge part
     tw_plus = np.concatenate([1j * f, g])
     tw_minus = np.concatenate([1j * f, -g])
@@ -517,9 +506,7 @@ def _transport(
     )
 
 
-def transport_all(
-    sup: SuperOperators, inc: IncidenceOperators, tol: float = 1e-6
-) -> list[TransportReport]:
+def transport_all(inc: IncidenceOperators, tol: float = 1e-6) -> list[TransportReport]:
     """Transport every positive vertex Laplacian eigenpair.
 
     The zero block is identified by exact rank (the lowest n - rank
@@ -528,7 +515,7 @@ def transport_all(
     """
     vals, vecs = eigensystem(inc.vertex_laplacian)
     zeros = inc.vertex.dim - inc.rank
-    ctx = _dense_context(sup, inc)
+    ctx = _dense_context(inc)
     out = []
     for i in range(zeros, len(vals)):
         vec = StateVector(inc.vertex, vecs[:, i])

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .linalg import LinearMap, anticommutator
-from .operators import SuperOperators
+from .operators import IncidenceOperators, SuperOperators
 
 
 @dataclass(frozen=True)
@@ -177,8 +177,8 @@ def verify_grading(sup: SuperOperators) -> AlgebraReport:
     return AlgebraReport(checks=tuple(checks))
 
 
-def verify_factorizations(inc, vops) -> AlgebraReport:
-    """Degree and adjacency assembled from incidence maps match direct counts."""
+def verify_factorizations(inc: IncidenceOperators) -> AlgebraReport:
+    """inc.vertex_operators, assembled from incidence maps, match direct counts on inc.graph."""
     from .operators import (
         adjacency_direct,
         degree_in_direct,
@@ -186,7 +186,7 @@ def verify_factorizations(inc, vops) -> AlgebraReport:
         laplacian_direct,
     )
 
-    g = inc.graph
+    g, vops = inc.graph, inc.vertex_operators
     checks = [
         RelationCheck.of("in-degree factorization", vops.deg_in, degree_in_direct(g)),
         RelationCheck.of("out-degree factorization", vops.deg_out, degree_out_direct(g)),

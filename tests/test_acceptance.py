@@ -21,7 +21,6 @@ from susygraph.cycles import cycle_space_report, fundamental_cycle_basis
 from susygraph.graph import DirectedGraph, reorient, symmetrize
 from susygraph.linalg import StateVector
 from susygraph.operators import (
-    build_edge_laplacian,
     build_incidence,
     build_super_operators,
     build_vertex_operators,
@@ -118,7 +117,7 @@ def test_criterion_04_cycle_space(capsys):
         n = rng.randint(2, 40)
         mode = "oriented" if rng.random() < 0.5 else "symmetric"
         g = random_connected_graph(rng, n, rng.uniform(0.0, 0.3), mode)
-        rep = cycle_space_report(g)
+        rep = cycle_space_report(build_incidence(g))
         expected = g.num_edges - g.num_vertices + 1
         if not (
             rep.closure_residual == 0
@@ -128,7 +127,7 @@ def test_criterion_04_cycle_space(capsys):
             and rep.consistent
         ):
             bad += 1
-    sym = cycle_space_report(symmetrize(C3))
+    sym = cycle_space_report(build_incidence(symmetrize(C3)))
     instance = sym.basis.dimension == 4 and sym.basis_rank == 4 and sym.consistent
     announce(
         capsys, 4, "cycle space on 100 connected graphs", bad == 0 and instance,
@@ -194,8 +193,7 @@ def test_criterion_08_eigenvector_transport(acceptance_graphs, capsys):
     pairs = 0
     for g in pop:
         inc = build_incidence(g)
-        sup = build_super_operators(inc)
-        for rep in transport_all(sup, inc, tol=1e-6):
+        for rep in transport_all(inc, tol=1e-6):
             worst = max(worst, rep.max_residual)
             pairs += 1
     announce(
@@ -234,7 +232,7 @@ def test_criterion_10_orientation_invariance(acceptance_graphs, capsys):
     for g in pop:
         inc = build_incidence(g)
         lap = build_vertex_operators(inc).laplacian
-        espec = symmetric_spectrum(build_edge_laplacian(inc))
+        espec = symmetric_spectrum(inc.edge_laplacian)
         for _ in range(20):
             flipped = reorient(g, random_reorientation(rng, g))
             inc2 = build_incidence(flipped)
@@ -242,7 +240,7 @@ def test_criterion_10_orientation_invariance(acceptance_graphs, capsys):
                 bad += 1
                 break
             if not multisets_match(
-                symmetric_spectrum(build_edge_laplacian(inc2)), espec, 1e-8
+                symmetric_spectrum(inc2.edge_laplacian), espec, 1e-8
             ):
                 bad += 1
                 break

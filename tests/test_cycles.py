@@ -147,13 +147,13 @@ def test_tree_empty_basis():
     basis = fundamental_cycle_basis(star)
     assert basis.dimension == 0
     assert is_forest(star)
-    rep = cycle_space_report(star)
+    rep = cycle_space_report(build_incidence(star))
     assert rep.consistent
     assert rep.dim_ker_hamiltonian == 1
 
 
 def test_symmetrized_c3_four_cycles():
-    rep = cycle_space_report(symmetrize(C3))
+    rep = cycle_space_report(build_incidence(symmetrize(C3)))
     assert rep.basis.dimension == 4
     assert len(rep.basis.pair_generators) == 3
     assert len(rep.basis.chord_generators) == 1
@@ -177,7 +177,7 @@ def test_cycle_signs_against_reversed_edge():
 
 def test_report_on_disconnected_graph():
     g = DirectedGraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))
-    rep = cycle_space_report(g)
+    rep = cycle_space_report(build_incidence(g))
     assert rep.num_components == 2
     assert rep.expected_dimension == 2
     assert rep.basis.dimension == 2
@@ -187,7 +187,7 @@ def test_report_on_disconnected_graph():
 @settings(max_examples=60)
 @given(directed_graphs(max_vertices=9))
 def test_cycle_space_report_property(g):
-    rep = cycle_space_report(g)
+    rep = cycle_space_report(build_incidence(g))
     assert rep.consistent, (g.edges, rep)
     comps = connected_components(g)
     assert rep.expected_dimension == g.num_edges - g.num_vertices + len(comps)
@@ -230,5 +230,5 @@ def test_two_trees_same_span(g, seed):
 @settings(max_examples=30)
 @given(connected_graphs(max_vertices=9))
 def test_tree_edge_differences_independent(g):
-    rep = cycle_space_report(g)
+    rep = cycle_space_report(build_incidence(g))
     assert rep.tree_diff_rank == g.num_vertices - 1

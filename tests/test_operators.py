@@ -11,7 +11,6 @@ from susygraph.graph import DirectedGraph, GraphFormatError, symmetrize
 from susygraph.linalg import StateVector
 from susygraph.operators import (
     adjacency_direct,
-    build_edge_laplacian,
     build_incidence,
     build_super_operators,
     build_vertex_operators,
@@ -129,12 +128,12 @@ def test_laplacian_rows_sum_to_zero(g):
 
 def test_k2_edge_laplacian_is_two():
     inc = build_incidence(K2)
-    assert build_edge_laplacian(inc).entries() == [(0, 0, 2, 0)]
+    assert inc.edge_laplacian.entries() == [(0, 0, 2, 0)]
 
 
 def test_edge_laplacian_symmetric_psd():
     for g in (K2, C3, PAIR, symmetrize(C3)):
-        el = build_edge_laplacian(build_incidence(g))
+        el = build_incidence(g).edge_laplacian
         assert el.is_self_adjoint()
         assert np.linalg.eigvalsh(el.to_dense_real()).min() >= -1e-10
 

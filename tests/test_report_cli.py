@@ -114,8 +114,7 @@ def test_seed_changes_only_selftest_input():
 def test_stencil_selftest_exact_on_high_degree_hub():
     # Float test values once summed 2000 terms at the hub: a defect of 2.27e-12 > 1e-12.
     star = DirectedGraph(2001, tuple((0, leaf) for leaf in range(1, 2001)))
-    inc = build_incidence(star)
-    selftest = _stencil_selftest(star, inc, build_vertex_operators(inc), seed=0)
+    selftest = _stencil_selftest(build_incidence(star), seed=0)
     assert selftest["random_stencil_defect"] == 0.0
     assert selftest["stencil_ok"] is True
 
@@ -312,6 +311,7 @@ def test_report_computes_each_exact_quantity_once(monkeypatch):
             exact_kernel_basis,
             exact_rank,
             build_super_operators,
+            build_vertex_operators,
             fundamental_cycle_basis,
             spanning_forest,
         )
@@ -345,6 +345,7 @@ def test_report_computes_each_exact_quantity_once(monkeypatch):
         assert len(calls["exact_kernel_basis"]) == 2
         assert sum(1 for args in calls["exact_rank"] if args[0] == diff) == 1
         assert len(calls["build_super_operators"]) == 1
+        assert len(calls["build_vertex_operators"]) == 1
         assert len(calls["fundamental_cycle_basis"]) == 1
         assert len(calls["spanning_forest"]) == 1
 

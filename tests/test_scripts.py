@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from susygraph.operators import build_incidence, build_super_operators
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,3 +36,49 @@ def test_script_exits_zero(args):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout
+
+
+def load_script(name: str, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+@pytest.mark.parametrize(
+    "name, args",
+    [("survey_random_graphs", ["--graphs", "2"]), ("transport_demo", [str(ROOT / "graphs/c3.txt")])],
+)
+def test_script_rejects_invalid_tolerance(name, args, tol, monkeypatch, capsys):
+    script = load_script(name, monkeypatch)
+    with pytest.raises(SystemExit) as exited:
+        script.main([*args, f"--tol={tol}"])
+    out, err = capsys.readouterr()
+    assert exited.value.code == 2
+    assert out == ""
+    assert "--tol must be positive and finite" in err
+
+
+def test_survey_builds_each_graph_once(monkeypatch):
+    survey = load_script("survey_random_graphs", monkeypatch)
+    counted = {f.__name__: f for f in (build_incidence, build_super_operators, np.linalg.eigvalsh)}
+    calls = dict.fromkeys(counted, 0)
+
+    def recorder(name, fn):
+        def record(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return record
+
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "susygraph"]
+    for module in [*modules, survey, np.linalg]:
+        for name, fn in counted.items():
+            if vars(module).get(name) is fn:
+                monkeypatch.setattr(module, name, recorder(name, fn))
+    result = survey.survey(survey.SurveyConfig(graphs=3, max_vertices=12))
+    assert result.clean, result.violations
+    # pairing: the two Laplacians and H; dirac: q1 and q2, sharing H's spectrum
+    assert calls == {"build_incidence": 3, "build_super_operators": 3, "eigvalsh": 3 * 5}

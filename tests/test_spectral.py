@@ -253,9 +253,8 @@ def test_polar_property(g):
 
 def test_transport_k2():
     inc = build_incidence(K2)
-    sup = build_super_operators(inc)
     f = StateVector.from_values(inc.vertex, np.array([1.0, -1.0]) / np.sqrt(2.0))
-    rep = transport_eigenpair(sup, inc, 2.0, f)
+    rep = transport_eigenpair(inc, 2.0, f)
     assert rep.max_residual < 1e-12
     assert rep.independent
     # d f = -sqrt(2) on the single edge, so g = d f / sqrt(2) = -1
@@ -264,24 +263,22 @@ def test_transport_k2():
 
 def test_transport_rejects_bad_input():
     inc = build_incidence(K2)
-    sup = build_super_operators(inc)
     constant = StateVector.from_values(inc.vertex, [1.0, 1.0])
     with pytest.raises(NotAnEigenpair):
-        transport_eigenpair(sup, inc, 1.0, constant)
+        transport_eigenpair(inc, 1.0, constant)
     with pytest.raises(NotAnEigenpair):
-        transport_eigenpair(sup, inc, -1.0, constant)
+        transport_eigenpair(inc, -1.0, constant)
     tiny = StateVector.from_values(inc.vertex, [1e-9, -1e-9])
     with pytest.raises(NotAnEigenpair):
-        transport_eigenpair(sup, inc, 2.0, tiny)
+        transport_eigenpair(inc, 2.0, tiny)
 
 
 def test_transport_path3():
     g = path_graph(3)
     inc = build_incidence(g)
-    sup = build_super_operators(inc)
     vals, vecs = eigensystem(inc.diff_adj @ inc.diff)
     f = StateVector(inc.vertex, vecs[:, 2])
-    rep = transport_eigenpair(sup, inc, float(vals[2]), f)
+    rep = transport_eigenpair(inc, float(vals[2]), f)
     assert abs(rep.energy - 3.0) < 1e-10
     assert rep.max_residual < 1e-10
 
@@ -290,8 +287,7 @@ def test_transport_path3():
 @given(connected_graphs(max_vertices=8))
 def test_transport_property(g):
     inc = build_incidence(g)
-    sup = build_super_operators(inc)
-    reports = transport_all(sup, inc, tol=1e-6)
+    reports = transport_all(inc, tol=1e-6)
     assert len(reports) == g.num_vertices - 1
     for rep in reports:
         assert rep.max_residual < 1e-6

@@ -96,7 +96,7 @@ def reports_for(g: DirectedGraph):
     return (
         verify_superalgebra(sup),
         verify_grading(sup),
-        verify_factorizations(inc, build_vertex_operators(inc)),
+        verify_factorizations(inc),
     )
 
 
