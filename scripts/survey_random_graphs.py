@@ -1,10 +1,11 @@
 """Survey the operator calculus over a population of random graphs.
 
-For each sampled graph the script verifies the supercharge algebra and
-grading exactly, checks the kernel dimension formulas and cycle space
-closure, and records floating-point residuals from the spectral pairing,
-Dirac symmetry and polar factorization checks.  A summary table goes to
-stdout; any violation is listed explicitly and flips the exit code.
+Each sampled graph gets the full report that `susygraph report` prints, so
+every check the CLI runs runs here too, and a check fails exactly when the
+report's boolean is false.  A summary table goes to stdout: the worst polar
+residual, the spectral gaps of the vertex Laplacian, and the failed checks
+counted per report section.  Each graph with a failed check is listed with
+the report paths of its false booleans and flips the exit code.
 
 Example:
     python3 scripts/survey_random_graphs.py --graphs 100 --max-vertices 40
@@ -16,14 +17,12 @@ import argparse
 import random
 import statistics
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from susygraph.cli import tolerance_error
-from susygraph.cycles import cycle_space_report
-from susygraph.operators import build_incidence
 from susygraph.rand import random_graph
-from susygraph.spectral import dirac_spectrum, kernel_report, pairing_check, polar_decompose
-from susygraph.susy import verify_grading, verify_superalgebra
+from susygraph.report import build_report, failed_checks
 
 
 @dataclass(frozen=True)
@@ -39,13 +38,9 @@ class SurveyResult:
     graphs: int = 0
     total_vertices: int = 0
     total_edges: int = 0
-    algebra_violations: int = 0
-    kernel_violations: int = 0
-    cycle_violations: int = 0
-    spectral_violations: int = 0
     polar_residuals: list[float] = field(default_factory=list)
     spectral_gaps: list[float] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
+    violations: dict[str, list[str]] = field(default_factory=dict)
 
     @property
     def clean(self) -> bool:
@@ -65,42 +60,15 @@ def survey(config: SurveyConfig) -> SurveyResult:
         result.total_vertices += g.num_vertices
         result.total_edges += g.num_edges
 
-        inc = build_incidence(g)
-        sup = inc.super_operators
-
-        algebra = verify_superalgebra(sup)
-        grading = verify_grading(sup)
-        if not (algebra.all_hold and grading.all_hold):
-            result.algebra_violations += 1
-            names = [c.name for c in algebra.failed() + grading.failed()]
-            result.violations.append(f"{label}: algebra relations failed: {names}")
-
-        kernel = kernel_report(inc)
-        if not kernel.formulas_consistent:
-            result.kernel_violations += 1
-            result.violations.append(f"{label}: kernel dimension formulas inconsistent")
-
-        cycles = cycle_space_report(inc)
-        if not cycles.consistent:
-            result.cycle_violations += 1
-            result.violations.append(f"{label}: cycle space report inconsistent")
-
-        pairing = pairing_check(inc, tol=config.tol)
-        dirac = dirac_spectrum(sup, tol=config.tol)
-        polar = polar_decompose(inc)
-        if not (pairing.verdict and dirac.verdict):
-            result.spectral_violations += 1
-            result.violations.append(
-                f"{label}: pairing={pairing.verdict} dirac={dirac.verdict}"
-            )
-        if polar.max_residual >= config.tol:
-            result.spectral_violations += 1
-            result.violations.append(f"{label}: polar residual {polar.max_residual:.3e}")
-        result.polar_residuals.append(polar.max_residual)
-
-        positive = [v for v in pairing.vertex_spectrum if v > config.tol]
-        if positive:
-            result.spectral_gaps.append(min(positive))
+        report = build_report(g, tol=config.tol)
+        failed = failed_checks(report)
+        if failed:
+            result.violations[label] = failed
+        result.polar_residuals.append(report["polar"]["max_residual"])
+        # the exact rank, not tol, says how many of the lowest eigenvalues are zero
+        spectrum, zeros = report["pairing"]["vertex_laplacian"], report["pairing"]["vertex_zeros"]
+        if zeros < len(spectrum):
+            result.spectral_gaps.append(spectrum[zeros])
     return result
 
 
@@ -108,17 +76,17 @@ def print_summary(config: SurveyConfig, result: SurveyResult, elapsed: float) ->
     print(f"surveyed {result.graphs} graphs in {elapsed:.2f}s (seed={config.seed})")
     print(f"  mean vertices  {result.total_vertices / result.graphs:8.2f}")
     print(f"  mean edges     {result.total_edges / result.graphs:8.2f}")
-    print(f"  algebra violations   {result.algebra_violations}")
-    print(f"  kernel violations    {result.kernel_violations}")
-    print(f"  cycle violations     {result.cycle_violations}")
-    print(f"  spectral violations  {result.spectral_violations}")
+    print(f"  failing graphs       {len(result.violations)}")
     print(f"  worst polar residual {max(result.polar_residuals):.3e}")
     if result.spectral_gaps:
         print(f"  spectral gap  min {min(result.spectral_gaps):.6f}"
               f"  median {statistics.median(result.spectral_gaps):.6f}"
               f"  max {max(result.spectral_gaps):.6f}")
-    for line in result.violations:
-        print(f"  VIOLATION  {line}")
+    sections = Counter(path.split(".")[0] for paths in result.violations.values() for path in paths)
+    for section, count in sorted(sections.items()):
+        print(f"  failed checks in {section:<8} {count}")
+    for label, paths in result.violations.items():
+        print(f"  VIOLATION  {label}: {', '.join(paths)}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -131,6 +99,10 @@ def main(argv: list[str] | None = None) -> int:
     problem = tolerance_error(args.tol)
     if problem:
         parser.error(problem)
+    if args.graphs < 1:
+        parser.error(f"--graphs must be at least 1, got {args.graphs}")
+    if args.max_vertices < 2:
+        parser.error(f"--max-vertices must be at least 2, got {args.max_vertices}")
     config = SurveyConfig(
         graphs=args.graphs, max_vertices=args.max_vertices, seed=args.seed, tol=args.tol
     )

@@ -51,7 +51,7 @@ from .operators import (
     build_incidence,
     path_graph,
 )
-from .report import build_report, serialize_report
+from .report import build_report, failed_checks, serialize_report
 from .spectral import (
     KernelReport,
     NotAnEigenpair,
@@ -108,6 +108,7 @@ __all__ = [
     "edge_space",
     "exact_kernel_basis",
     "exact_rank",
+    "failed_checks",
     "fundamental_cycle_basis",
     "kernel_report",
     "load_edge_list",

@@ -5,6 +5,10 @@ kernel, spectra, pairing, polar, cycles, meta}; keys are sorted and every
 float is pre-rounded to 15 significant digits, so identical input and
 flags produce identical bytes.  The text form mirrors the same content as
 a readable table.
+
+Every boolean in a report is a check: the text form prints it as pass or
+FAIL, failed_checks names the false ones by dotted path, and meta.all_pass
+is true exactly when every other boolean is.
 """
 
 from __future__ import annotations
@@ -236,21 +240,6 @@ def build_report(
         consistency["cycles_match_fermionic_zero_modes"] = bool(
             report["cycles"]["cycle_count"] == report["kernel"]["zero_modes"]["fermionic"]
         )
-    selftest = _stencil_selftest(inc, seed)
-    verdicts = [selftest["stencil_ok"]]
-    for key in ("algebra", "grading"):
-        if report[key] is not None:
-            verdicts.append(report[key]["all_pass"])
-    if report["kernel"] is not None:
-        verdicts.append(report["kernel"]["formulas_consistent"])
-        verdicts.append(report["kernel"]["zero_modes"]["counts_match"])
-        verdicts.append(report["kernel"]["zero_modes"]["cycles_span_kernel"])
-    for key in ("spectra", "pairing", "polar"):
-        if report[key] is not None:
-            verdicts.append(report[key]["verdict"])
-    if report["cycles"] is not None:
-        verdicts.append(report["cycles"]["consistent"])
-    verdicts.extend(consistency.values())
     report["meta"] = {
         "tool": "susygraph",
         "version": __version__,
@@ -258,11 +247,33 @@ def build_report(
         "seed": seed,
         "input_digest": digest,
         "sections": sorted(want),
-        "selftest": selftest,
+        "selftest": _stencil_selftest(inc, seed),
         "consistency": consistency,
-        "all_pass": bool(all(verdicts)),
     }
+    report["meta"]["all_pass"] = not failed_checks(report)
     return report
+
+
+def failed_checks(report: dict) -> list[str]:
+    """Dotted paths of the false booleans in a report, in JSON key order.
+
+    Dict keys are walked in sorted order and list entries by index, so each
+    path is the section name followed by the key that the text form prints
+    FAIL beside.  build_report walks the report before it adds
+    meta.all_pass; a finished failing report also lists meta.all_pass.
+    """
+    failed: list[str] = []
+    _collect_false(report, "", failed)
+    return failed
+
+
+def _collect_false(container, prefix: str, out: list[str]) -> None:
+    items = sorted(container.items()) if isinstance(container, dict) else enumerate(container)
+    for key, value in items:
+        if value is False:
+            out.append(f"{prefix}{key}")
+        elif isinstance(value, (dict, list)):
+            _collect_false(value, f"{prefix}{key}.", out)
 
 
 def serialize_json(report: dict) -> str:

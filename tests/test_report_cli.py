@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from conftest import directed_graphs
 import susygraph.cli
 import susygraph.operators
+import susygraph.report
 from susygraph.cli import edge_laplacian_bound, main
 from susygraph.cycles import fundamental_cycle_basis
 from susygraph.graph import DirectedGraph, format_edge_list, parse_edge_list, spanning_forest
@@ -28,9 +29,11 @@ from susygraph.operators import (
 from susygraph.report import (
     _stencil_selftest,
     build_report,
+    failed_checks,
     round_float,
     serialize_json,
     serialize_report,
+    serialize_text,
 )
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
@@ -304,6 +307,44 @@ def test_cli_impossible_tolerance_fails_checks(capsys):
     assert rep["meta"]["all_pass"] is False
 
 
+def _fail_lines(text: str) -> list[str]:
+    """Section-qualified keys of the text form's FAIL lines."""
+    failed, section = [], None
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif line.endswith(" FAIL"):
+            failed.append(f"{section}.{line.split()[0]}")
+    return failed
+
+
+def _path_stencil_fails(monkeypatch):
+    monkeypatch.setattr(susygraph.report, "path_second_difference_ok", lambda num_vertices: False)
+
+
+def test_path_stencil_selftest_decides_the_verdict(monkeypatch, capsys):
+    _path_stencil_fails(monkeypatch)
+    rep = build_report(C3)
+    assert rep["meta"]["all_pass"] is False
+    assert failed_checks(rep) == ["meta.all_pass", "meta.selftest.path_stencil_ok"]
+    assert main(["report", str(GRAPHS / "c3.txt"), "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["meta"]["all_pass"] is False
+
+
+@pytest.mark.parametrize("broken_stencil", [False, True])
+@pytest.mark.parametrize("tol", [1e-8, 1e-300])
+def test_text_fail_lines_are_the_failed_checks(tol, broken_stencil, monkeypatch):
+    if broken_stencil:
+        _path_stencil_fails(monkeypatch)
+    rep = build_report(C3, tol=tol)
+    failed = failed_checks(rep)
+    assert sorted(_fail_lines(serialize_text(rep))) == sorted(failed)
+    assert rep["meta"]["all_pass"] is (not failed)
+    assert ("meta.selftest.path_stencil_ok" in failed) is broken_stencil
+    # eigensolver noise fails the spectral checks at 1e-300
+    assert ("pairing.verdict" in failed) is (tol == 1e-300)
+
+
 def test_report_computes_each_exact_quantity_once(monkeypatch):
     counted = {
         f.__name__: f
@@ -380,6 +421,25 @@ def test_cli_refuses_graph_too_large_for_exact_algebra(tmp_path, monkeypatch, ca
     assert code == 2
     assert out == ""
     assert f"error: {star}: graph too large (edge Laplacian up to 16000000 entries, limit 8388608)" in err
+
+
+@pytest.mark.parametrize("command", list(susygraph.cli.SECTIONS))
+def test_cli_refuses_too_many_vertices(command, tmp_path, monkeypatch, capsys):
+    # 12 bytes of input; check, kernel and cycles once ran out of memory on it
+    big = tmp_path / "big.txt"
+    big.write_text("n=100000000\n")
+    monkeypatch.setattr(susygraph.cli, "build_report", _fail_if_built)
+    code = main([command, str(big), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert f"error: {big}: graph too large (n = 100000000, limit 1000000)" in err
+
+
+@pytest.mark.parametrize("limit", [2, 3])
+def test_cli_vertex_limit_admits_its_bound(limit, monkeypatch):
+    monkeypatch.setattr(susygraph.cli, "MAX_VERTICES", limit)
+    assert main(["kernel", str(GRAPHS / "c3.txt"), "--format", "json"]) == (2 if limit < 3 else 0)
 
 
 @pytest.mark.parametrize("limit", [8, 9])

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import susygraph.report
 from susygraph.operators import build_incidence, build_super_operators
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,6 +62,51 @@ def test_script_rejects_invalid_tolerance(name, args, tol, monkeypatch, capsys):
     assert "--tol must be positive and finite" in err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--graphs", "0"], "--graphs must be at least 1, got 0"),
+        (["--graphs", "-2"], "--graphs must be at least 1, got -2"),
+        (["--max-vertices", "1"], "--max-vertices must be at least 2, got 1"),
+    ],
+)
+def test_survey_rejects_invalid_counts(args, message, monkeypatch, capsys):
+    script = load_script("survey_random_graphs", monkeypatch)
+    with pytest.raises(SystemExit) as exited:
+        script.main(args)
+    out, err = capsys.readouterr()
+    assert exited.value.code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_survey_names_each_failed_check(monkeypatch, capsys):
+    survey = load_script("survey_random_graphs", monkeypatch)
+    monkeypatch.setattr(susygraph.report, "path_second_difference_ok", lambda num_vertices: False)
+    result = survey.survey(survey.SurveyConfig(graphs=3, max_vertices=8))
+    failed = ["meta.all_pass", "meta.selftest.path_stencil_ok"]
+    assert list(result.violations.values()) == [failed] * 3
+    survey.print_summary(survey.SurveyConfig(graphs=3), result, 0.0)
+    out = capsys.readouterr().out
+    assert "failed checks in meta     6" in out
+    assert out.count("meta.selftest.path_stencil_ok") == 3
+
+
+def test_survey_gap_skips_the_exact_zero_block(monkeypatch):
+    # at this tol the zero block's eigensolver noise lies above tol
+    survey = load_script("survey_random_graphs", monkeypatch)
+    result = survey.survey(survey.SurveyConfig(graphs=3, max_vertices=8, tol=1e-300))
+    # Fiedler: a connected graph on k <= 8 vertices has lambda_2 >= 2 - 2 cos(pi / 8) > 0.15
+    assert result.spectral_gaps and min(result.spectral_gaps) > 0.15
+
+
+def test_transport_demo_fails_below_eigensolver_noise(monkeypatch, capsys):
+    # the eigensolver's own pairs miss this tolerance: a FAIL verdict, not NotAnEigenpair
+    demo = load_script("transport_demo", monkeypatch)
+    assert demo.main([str(ROOT / "graphs/c3.txt"), "--tol", "1e-20"]) == 1
+    assert capsys.readouterr().out.rstrip().endswith(": FAIL")
+
+
 def test_survey_builds_each_graph_once(monkeypatch):
     survey = load_script("survey_random_graphs", monkeypatch)
     counted = {f.__name__: f for f in (build_incidence, build_super_operators, np.linalg.eigvalsh)}
@@ -80,5 +126,6 @@ def test_survey_builds_each_graph_once(monkeypatch):
                 monkeypatch.setattr(module, name, recorder(name, fn))
     result = survey.survey(survey.SurveyConfig(graphs=3, max_vertices=12))
     assert result.clean, result.violations
+    # each report also builds the 50-vertex path of its stencil self-test;
     # pairing: the two Laplacians and H; dirac: q1 and q2, sharing H's spectrum
-    assert calls == {"build_incidence": 3, "build_super_operators": 3, "eigvalsh": 3 * 5}
+    assert calls == {"build_incidence": 3 + 3, "build_super_operators": 3, "eigvalsh": 3 * 5}
