@@ -10,7 +10,14 @@ numpy arrays of rows, columns and (real, imaginary) parts, sorted by
 (row, col), with each coordinate once and no zero entry.  Canonical form
 makes equality an array comparison and "is zero" an emptiness test.
 Sums concatenate and products expand term by term; both then sort, add
-up repeated coordinates and drop zeros.
+up repeated coordinates and drop zeros.  Terms that already arrive in
+strictly increasing coordinate order skip the sort and the sums and only
+drop zeros: a product with a diagonal factor, and a sum of two maps whose
+coordinates do not interleave, which concatenates them in coordinate order.
+A product finds each row of its right factor through row pointers (a count
+per row, then a running sum) when the inner dimension is at most the total
+nnz of its operands, and by binary search over the sorted rows past that,
+so no work scales with the dimension alone.
 
 Overflow rule: before any arithmetic, an operation bounds the magnitude of
 every component it can produce (for a product, max|A| * max|B| * 2 times
@@ -95,6 +102,12 @@ class LinearMap:
     otherwise; each operation bounds its result before computing it and
     picks the dtype from that bound, so int64 arithmetic never wraps.
 
+    A product indexes the rows of its right factor by row pointers when the
+    inner dimension is at most nnz(self) + nnz(other), else by binary
+    search.  Terms that arrive strictly increasing in (row, col), from a
+    diagonal factor or a sum of non-interleaving maps, are kept in place
+    without a sort, with only their zeros dropped.
+
     Instances are immutable: the arrays are read-only, and every operation
     returns a fresh map.  Equality is exact and entrywise.
     """
@@ -119,12 +132,21 @@ class LinearMap:
     def _canonical(
         cls, domain: Space, codomain: Space, row: np.ndarray, col: np.ndarray, value: np.ndarray
     ) -> "LinearMap":
-        """Sort (row, col, value) terms, sum repeated coordinates, drop zeros."""
+        """Sort (row, col, value) terms, sum repeated coordinates, drop zeros.
+
+        Terms whose keys already increase strictly skip the sort and the sums.
+        """
         if not row.size:
             return cls.zero(domain, codomain)
         if codomain.dim * domain.dim > 1 << 63:
             raise ValueError(f"{codomain.dim}x{domain.dim} is too many coordinates for int64 keys")
         key = row * domain.dim + col
+        if (key[1:] > key[:-1]).all():
+            # Already in order without repeats: only zeros can be out of place.
+            keep = (value != 0).any(axis=0)
+            if not keep.all():
+                row, col, value = row[keep], col[keep], value.compress(keep, axis=1)
+            return cls(domain, codomain, row, col, value)
         order = np.argsort(key, kind="stable")
         key = key[order]
         first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
@@ -219,14 +241,13 @@ class LinearMap:
     def _combined(self, other: "LinearMap", sign: int) -> "LinearMap":
         self._require_same_shape(other)
         dtype = _dtype(self.max_abs() + other.max_abs())
-        a, b = self.value.astype(dtype, copy=False), other.value.astype(dtype, copy=False)
-        return LinearMap._canonical(
-            self.domain,
-            self.codomain,
-            np.concatenate((self.row, other.row)),
-            np.concatenate((self.col, other.col)),
-            np.concatenate((a, sign * b), axis=1),
-        )
+        a, b = self.value.astype(dtype, copy=False), sign * other.value.astype(dtype, copy=False)
+        operands = [(self.row, self.col, a), (other.row, other.col, b)]
+        # Operands that do not interleave go in coordinate order, so no sort is needed.
+        if self.nnz and other.nnz and (other.row[-1], other.col[-1]) < (self.row[0], self.col[0]):
+            operands.reverse()
+        row, col, value = (np.concatenate(arrays, axis=-1) for arrays in zip(*operands))
+        return LinearMap._canonical(self.domain, self.codomain, row, col, value)
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         return self._combined(other, 1)
@@ -265,9 +286,17 @@ class LinearMap:
         # a bound on the largest row nnz of self, each with two terms per part.
         terms = min(self.nnz, self.domain.dim)
         dtype = _dtype(self.max_abs() * other.max_abs() * terms * 2)
-        # Pair every entry (i, k) of self with each entry (k, j) of other's row k.
-        start = np.searchsorted(other.row, self.col)
-        count = np.searchsorted(other.row, self.col, "right") - start
+        # Pair every entry (i, k) of self with each entry (k, j) of other's row k,
+        # the count entries from start.  Row pointers cost O(inner dimension), so
+        # past the operands' size a binary search over other.row finds the rows.
+        inner = self.domain.dim
+        if inner <= self.nnz + other.nnz:
+            per_row = np.bincount(other.row, minlength=inner)
+            start = (np.cumsum(per_row) - per_row)[self.col]
+            count = per_row[self.col]
+        else:
+            start = np.searchsorted(other.row, self.col)
+            count = np.searchsorted(other.row, self.col, "right") - start
         ends = np.cumsum(count)
         a = np.repeat(np.arange(self.row.size), count)
         b = np.arange(ends[-1]) + np.repeat(start - (ends - count), count)

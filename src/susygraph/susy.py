@@ -150,7 +150,8 @@ def verify_grading(sup: SuperOperators) -> AlgebraReport:
     supercharge anticommutes with it; the hamiltonian commutes with it;
     and the second hermitian charge is the grading twist of the first.
     Each (anti)commutation is checked as chi q against -q chi (or H chi),
-    so a relation that holds never forms a difference that cancels.
+    so a relation that holds never forms a difference that cancels.  The
+    product chi q1 is formed once and serves both relations that use it.
     """
     chi = sup.grading
     p0, p1 = sup.proj_bosonic, sup.proj_fermionic
@@ -159,6 +160,7 @@ def verify_grading(sup: SuperOperators) -> AlgebraReport:
     ham = sup.hamiltonian
     ident = LinearMap.identity(sup.super)
     zero = LinearMap.zero(sup.super, sup.super)
+    chi_q1 = chi @ q1
     checks = [
         RelationCheck.of("grading squares to identity", chi @ chi, ident),
         RelationCheck.of("grading self-adjoint", chi.adjoint(), chi),
@@ -167,12 +169,12 @@ def verify_grading(sup: SuperOperators) -> AlgebraReport:
         RelationCheck.of("projectors orthogonal", p0 @ p1, zero),
         RelationCheck.of("projectors complete", p0 + p1, ident),
         RelationCheck.of("projectors recover grading", p0 - p1, chi),
-        RelationCheck.of("grading anticommutes with q1", chi @ q1, -(q1 @ chi)),
+        RelationCheck.of("grading anticommutes with q1", chi_q1, -(q1 @ chi)),
         RelationCheck.of("grading anticommutes with q2", chi @ q2, -(q2 @ chi)),
         RelationCheck.of("grading anticommutes with q_plus", chi @ qp, -(qp @ chi)),
         RelationCheck.of("grading anticommutes with q_minus", chi @ qm, -(qm @ chi)),
         RelationCheck.of("grading commutes with hamiltonian", chi @ ham, ham @ chi),
-        RelationCheck.of("q2 is i * grading * q1", (chi @ q1).scale((0, 1)), q2),
+        RelationCheck.of("q2 is i * grading * q1", chi_q1.scale((0, 1)), q2),
     ]
     return AlgebraReport(checks=tuple(checks))
 

@@ -7,7 +7,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from susygraph.graph import DirectedGraph
@@ -49,7 +49,7 @@ def small_maps(draw, max_dim=5, complex_entries=True):
 
 
 @st.composite
-def composable_pairs(draw, max_dim=5):
+def composable_pairs(draw, max_dim=5, values=st.integers(-3, 3)):
     a = draw(st.integers(1, max_dim))
     b = draw(st.integers(1, max_dim))
     c = draw(st.integers(1, max_dim))
@@ -58,8 +58,8 @@ def composable_pairs(draw, max_dim=5):
             st.tuples(
                 st.integers(0, rows - 1),
                 st.integers(0, cols - 1),
-                st.integers(-3, 3),
-                st.integers(-3, 3),
+                values,
+                values,
             ),
             max_size=rows * cols,
         )
@@ -408,6 +408,98 @@ def test_wide_sums_and_products_match_python_ints(pair):
                 pr, pi = product.get((r, c), (0, 0))
                 product[(r, c)] = (pr + ar * br - ai * bi, pi + ar * bi + ai * br)
     assert gaussian(a @ b.adjoint()) == {k: v for k, v in product.items() if v != (0, 0)}
+
+
+# -- products and sums that skip work -----------------------------------------
+#
+# A product finds the rows of its right factor through row pointers when the
+# inner dimension is at most the operands' total nnz, and by binary search
+# past it; terms that arrive in coordinate order, as a diagonal factor's or a
+# sum of non-interleaving maps' do, are kept without a sort.
+
+
+def _python_product(a, b):
+    """a @ b on {coordinate: (re, im)} dicts of Python ints, zeros dropped."""
+    rows_b: dict = {}
+    for k, c, re, im in b.entries():
+        rows_b.setdefault(k, []).append((c, re, im))
+    product: dict = {}
+    for r, k, ar, ai in a.entries():
+        for c, br, bi in rows_b.get(k, []):
+            pr, pi = product.get((r, c), (0, 0))
+            product[(r, c)] = (pr + ar * br - ai * bi, pi + ar * bi + ai * br)
+    return {k: v for k, v in product.items() if v != (0, 0)}
+
+
+def _shifted(m, domain, codomain, row_off, col_off):
+    """m with every entry moved by (row_off, col_off) into larger spaces."""
+    moved = [(r + row_off, c + col_off, re, im) for r, c, re, im in m.entries()]
+    return LinearMap.from_entries(domain, codomain, moved)
+
+
+@given(composable_pairs(values=wide_ints), st.integers(0, 3), st.integers(0, 3))
+def test_row_pointers_and_row_search_agree(pair, row_off, col_off):
+    a, b = pair
+    # in their own spaces the inner dimension is at most the nnz sum: row pointers
+    assume(a.domain.dim <= a.nnz + b.nnz)
+    pad = a.nnz + b.nnz
+    inner = aux_space(a.domain.dim + pad)
+    rows, cols = aux_space(a.codomain.dim + row_off), aux_space(b.domain.dim + col_off)
+    # embedded past an inner dimension larger than the nnz sum: binary search
+    far = _shifted(a, inner, rows, row_off, pad) @ _shifted(b, cols, inner, pad, col_off)
+    near = a @ b
+    assert far == _shifted(near, cols, rows, row_off, col_off)
+    assert {(r, c): (re, im) for r, c, re, im in near.entries()} == _python_product(a, b)
+    assert _is_canonical(near) and _is_canonical(far)
+
+
+nonzero_gaussians = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any)
+
+
+@given(small_maps(), st.sampled_from(["full", "partial", "gaussian"]), st.data())
+def test_diagonal_factors_match_dense(m, kind, data):
+    def diagonal(space):
+        index = range(space.dim)
+        if kind != "full":
+            index = sorted(data.draw(st.sets(st.sampled_from(index))))
+        if kind == "gaussian":
+            entries = [(i, i, *data.draw(nonzero_gaussians)) for i in index]
+        else:
+            entries = [(i, i, data.draw(st.sampled_from([-2, -1, 1, 3])), 0) for i in index]
+        return LinearMap.from_entries(space, space, entries)
+
+    left, right = diagonal(m.codomain), diagonal(m.domain)
+    for product, dense in (
+        (left @ m, left.to_dense() @ m.to_dense()),
+        (m @ right, m.to_dense() @ right.to_dense()),
+    ):
+        assert np.array_equal(product.to_dense(), dense)
+        assert _is_canonical(product)
+
+
+def test_in_order_entries_drop_explicit_zeros():
+    s = aux_space(3)
+    m = LinearMap.from_entries(s, s, [(0, 0, 1, 0), (0, 2, 0, 0), (1, 1, 2, -3), (2, 0, 0, 0)])
+    assert m.entries() == [(0, 0, 1, 0), (1, 1, 2, -3)]
+    assert _is_canonical(m)
+    assert LinearMap.from_entries(s, s, [(0, 1, 0, 0), (2, 2, 0, 0)]).is_zero()
+    wide = LinearMap.from_entries(s, s, [(0, 0, 0, 0), (1, 2, 2**70, 0)])
+    assert wide.entries() == [(1, 2, 2**70, 0)]
+    assert _is_canonical(wide) and _all_python_ints(wide)
+
+
+@given(wide_pairs(), wide_ints.filter(bool), st.data())
+def test_non_interleaving_sums_are_canonical(pair, factor, data):
+    m = pair[0]
+    entries = m.entries()
+    cut = data.draw(st.integers(0, len(entries)))
+    head = LinearMap.from_entries(m.domain, m.codomain, entries[:cut])
+    # every coordinate of tail follows every coordinate of head
+    tail = LinearMap.from_entries(m.domain, m.codomain, entries[cut:]).scale(factor)
+    for x, y in ((head, tail), (tail, head)):
+        for total, ref in ((x + y, x.entries() + y.entries()), (x - y, x.entries() + (-y).entries())):
+            assert _is_canonical(total)
+            assert total.entries() == sorted(ref)
 
 
 # -- kernel basis against a Fraction reference ---------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given
 
 from conftest import directed_graphs
 from susygraph.graph import DirectedGraph, GraphFormatError, symmetrize
-from susygraph.linalg import StateVector
+from susygraph.linalg import LinearMap, StateVector
 from susygraph.operators import (
     adjacency_direct,
     build_incidence,
@@ -195,6 +195,17 @@ def test_projectors_pick_blocks():
     v = StateVector.from_values(sup.super, [1, 2, 3, 4, 5, 6])
     assert np.array_equal(sup.proj_bosonic.apply(v).coefficients, [1, 2, 3, 0, 0, 0])
     assert np.array_equal(sup.proj_fermionic.apply(v).coefficients, [0, 0, 0, 4, 5, 6])
+
+
+@given(directed_graphs(max_vertices=7))
+def test_grading_and_projectors_match_entry_lists(g):
+    sup = build_super_operators(build_incidence(g))
+    n, s = g.num_vertices, sup.super
+    diagonal = [(i, i, 1 if i < n else -1, 0) for i in range(s.dim)]
+    assert sup.grading == LinearMap.from_entries(s, s, diagonal)
+    assert sup.proj_bosonic == LinearMap.from_entries(s, s, [(i, i, 1, 0) for i in range(n)])
+    fermionic = [(i, i, 1, 0) for i in range(n, s.dim)]
+    assert sup.proj_fermionic == LinearMap.from_entries(s, s, fermionic)
 
 
 def test_pair_difference_state():

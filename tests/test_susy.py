@@ -246,6 +246,14 @@ def test_superalgebra_product_count(corruption, count, products):
     assert len(products) == count
 
 
+def test_grading_product_count(products):
+    # chi q1 serves both "anticommutes with q1" and "q2 is i * grading * q1".
+    sup = build_super_operators(build_incidence(C3))
+    products.clear()
+    assert verify_grading(sup).all_hold
+    assert len(products) == 14
+
+
 @pytest.mark.parametrize("delta", [2, -4, 2**63])
 @pytest.mark.parametrize("at", [(0, 3), (1, 2), (4, 5), (5, 1)])
 def test_self_adjoint_hamiltonian_corruption_uses_derived_commutator(at, delta, products):
