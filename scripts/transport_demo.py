@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 import math
 
-from susygraph.cli import tolerance_error
-from susygraph.graph import load_edge_list
+from susygraph.cli import DENSE_SECTIONS, size_error, tolerance_error
+from susygraph.graph import GraphFormatError, load_edge_list
 from susygraph.operators import build_incidence
 from susygraph.spectral import kernel_report, transport_all
 
@@ -30,7 +30,16 @@ def main(argv: list[str] | None = None) -> int:
     if problem:
         parser.error(problem)
 
-    graph = load_edge_list(args.graph)
+    try:
+        graph = load_edge_list(args.graph)
+    except (OSError, UnicodeDecodeError) as exc:
+        parser.error(f"cannot read {args.graph}: {exc}")
+    except GraphFormatError as exc:
+        parser.error(f"{args.graph}: {exc}")
+    # transport_all densifies (n + m)^2 complex maps, as the CLI's dense sections do
+    problem = size_error(graph, DENSE_SECTIONS)
+    if problem:
+        parser.error(f"{args.graph}: {problem}")
     inc = build_incidence(graph)
     kernel = kernel_report(inc)
 

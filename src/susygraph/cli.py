@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Iterable
 
 from .graph import MODES, DirectedGraph, GraphFormatError, parse_edge_list
 from .report import build_report, serialize_report
@@ -99,6 +100,20 @@ def tolerance_error(tol: float) -> str | None:
     return f"--tol must be positive and finite, got {tol}"
 
 
+def size_error(graph: DirectedGraph, sections: Iterable[str]) -> str | None:
+    """Why graph is too large for the given sections, or None when every limit admits it."""
+    if graph.num_vertices > MAX_VERTICES:
+        return f"graph too large (n = {graph.num_vertices}, limit {MAX_VERTICES})"
+    size = graph.num_vertices + graph.num_edges
+    if size > MAX_DENSE_SIZE and DENSE_SECTIONS.intersection(sections):
+        return f"graph too large (n + m = {size}, limit {MAX_DENSE_SIZE})"
+    if EXACT_SECTIONS.intersection(sections):
+        bound = edge_laplacian_bound(graph)
+        if bound > MAX_EXACT_SIZE:
+            return f"graph too large (edge Laplacian up to {bound} entries, limit {MAX_EXACT_SIZE})"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     problem = tolerance_error(args.tol)
@@ -108,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return 2
     try:
@@ -116,28 +131,10 @@ def main(argv: list[str] | None = None) -> int:
     except GraphFormatError as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return 2
-    if graph.num_vertices > MAX_VERTICES:
-        print(
-            f"error: {args.path}: graph too large (n = {graph.num_vertices}, limit {MAX_VERTICES})",
-            file=sys.stderr,
-        )
+    problem = size_error(graph, args.sections)
+    if problem:
+        print(f"error: {args.path}: {problem}", file=sys.stderr)
         return 2
-    size = graph.num_vertices + graph.num_edges
-    if size > MAX_DENSE_SIZE and DENSE_SECTIONS.intersection(args.sections):
-        print(
-            f"error: {args.path}: graph too large (n + m = {size}, limit {MAX_DENSE_SIZE})",
-            file=sys.stderr,
-        )
-        return 2
-    if EXACT_SECTIONS.intersection(args.sections):
-        bound = edge_laplacian_bound(graph)
-        if bound > MAX_EXACT_SIZE:
-            print(
-                f"error: {args.path}: graph too large (edge Laplacian up to {bound} entries, "
-                f"limit {MAX_EXACT_SIZE})",
-                file=sys.stderr,
-            )
-            return 2
     report = build_report(
         graph, tol=args.tol, seed=args.seed, source_text=text, sections=args.sections
     )

@@ -140,7 +140,7 @@ def cycle_space_report(inc: IncidenceOperators) -> CycleSpaceReport:
     expected = graph.num_edges - graph.num_vertices + len(forest.components)
     stacked = stack_columns(list(basis.vectors), inc.edge)
     closure = inc.diff_adj @ stacked
-    rank = exact_rank(stacked) if basis.vectors else 0
+    rank = exact_rank(stacked)
     diff_rank = inc.rank
     kernel_dim = graph.num_edges - diff_rank
     # the tree rows of d, a row subset of a canonical map and so canonical itself

@@ -142,10 +142,11 @@ class VertexOperators:
 
 
 def build_vertex_operators(inc: IncidenceOperators) -> VertexOperators:
-    deg_in = inc.d_head.adjoint() @ inc.d_head
-    deg_out = inc.d_tail.adjoint() @ inc.d_tail
-    adj_in = inc.d_tail.adjoint() @ inc.d_head
-    adj_out = inc.d_head.adjoint() @ inc.d_tail
+    head_adj, tail_adj = inc.d_head.adjoint(), inc.d_tail.adjoint()
+    deg_in = head_adj @ inc.d_head
+    deg_out = tail_adj @ inc.d_tail
+    adj_in = tail_adj @ inc.d_head
+    adj_out = head_adj @ inc.d_tail
     deg = deg_in + deg_out
     adj = adj_in + adj_out
     return VertexOperators(
@@ -186,8 +187,6 @@ class SuperOperators:
     """
 
     super: Space
-    vertex: Space
-    edge: Space
     q1: LinearMap
     q2: LinearMap
     q_plus: LinearMap
@@ -224,16 +223,13 @@ def build_super_operators(inc: IncidenceOperators) -> SuperOperators:
     grading = _diagonal(sup, index, np.where(index < n, 1, -1))
     proj_bosonic = _diagonal(sup, index[:n], 1)
     proj_fermionic = _diagonal(sup, index[n:], 1)
-    # Products of its own rather than inc's cached Laplacians: `check` needs
-    # them only here, and keeping them alive through its exact algebra made
-    # it about 8 % slower on the check_population benchmark (page faults).
-    vertex_lap = inc.diff_adj @ inc.diff
+    # The edge block is a product of its own, not inc's cached edge Laplacian:
+    # `check` needs that m x m map only here, and keeping it alive through the
+    # exact algebra raised check_population's peak RSS about 7 %.
     edge_lap = inc.diff @ inc.diff_adj
-    hamiltonian = _embed(vertex_lap, sup, 0, 0) + _embed(edge_lap, sup, n, n)
+    hamiltonian = _embed(inc.vertex_laplacian, sup, 0, 0) + _embed(edge_lap, sup, n, n)
     return SuperOperators(
         super=sup,
-        vertex=inc.vertex,
-        edge=inc.edge,
         q1=diff_block + adj_block,
         q2=q2,
         q_plus=q_plus,

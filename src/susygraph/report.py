@@ -190,7 +190,7 @@ def _stencil_selftest(inc, seed: int) -> dict:
     column = stack_columns([dict(enumerate(values))], laplacian.domain)
     via_operator = (laplacian @ column).to_dense()[:, 0]
     via_stencil = laplacian_stencil_apply(inc.graph, values)
-    defect = float(np.max(np.abs(via_operator - via_stencil))) if values else 0.0
+    defect = float(np.max(np.abs(via_operator - via_stencil)))
     return {
         "path_stencil_ok": bool(path_second_difference_ok(50)),
         "random_stencil_defect": round_float(defect),

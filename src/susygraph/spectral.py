@@ -169,7 +169,7 @@ def pairing_check(inc: IncidenceOperators, tol: float = 1e-8) -> PairingReport:
     vz, ez = n - rank, m - rank
     v_nonzero = vspec[vz:]
     e_nonzero = espec[ez:]
-    if inc.edge.dim and inc.vertex.dim:
+    if inc.edge.dim:
         sing = np.linalg.svd(inc.diff.to_dense_real(), compute_uv=False)
     else:
         sing = np.zeros(0)
@@ -290,7 +290,7 @@ class PolarReport:
 
 def _kernel_projector(vectors: tuple[dict[int, int], ...], space: Space) -> np.ndarray:
     """Orthogonal projector onto the span of exact integer kernel vectors in space."""
-    if not vectors or space.dim == 0:
+    if not vectors:
         return np.zeros((space.dim, space.dim))
     q, _ = np.linalg.qr(stack_columns(list(vectors), space).to_dense_real())
     return q @ q.T
@@ -563,10 +563,7 @@ def zero_mode_classification(inc: IncidenceOperators) -> ZeroModeReport:
     counts = len(vertex_kernel) == dim_ker_diff and len(edge_kernel) == dim_ker_adj
     cycles = inc.cycle_basis
     combined = stack_columns(list(edge_kernel) + list(cycles.vectors), inc.edge)
-    spans = (
-        len(cycles.vectors) == dim_ker_adj
-        and (exact_rank(combined) if combined.domain.dim else 0) == dim_ker_adj
-    )
+    spans = len(cycles.vectors) == dim_ker_adj and exact_rank(combined) == dim_ker_adj
     return ZeroModeReport(
         bosonic=len(vertex_kernel),
         fermionic=len(edge_kernel),

@@ -19,11 +19,15 @@ import susygraph.report
 from susygraph.cli import edge_laplacian_bound, main
 from susygraph.cycles import fundamental_cycle_basis
 from susygraph.graph import DirectedGraph, format_edge_list, parse_edge_list, spanning_forest
-from susygraph.linalg import exact_kernel_basis, exact_rank
+from susygraph.linalg import LinearMap, exact_kernel_basis, exact_rank
 from susygraph.operators import (
+    adjacency_direct,
     build_incidence,
     build_super_operators,
     build_vertex_operators,
+    degree_in_direct,
+    degree_out_direct,
+    laplacian_direct,
     path_graph,
 )
 from susygraph.report import (
@@ -242,6 +246,16 @@ def test_cli_missing_file(capsys):
     assert "cannot read" in err
 
 
+def test_cli_non_utf8_file(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe n=2\n")
+    code = main(["check", str(bad)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
+
+
 def test_cli_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("n=2\n0 0\n")
@@ -355,9 +369,21 @@ def test_report_computes_each_exact_quantity_once(monkeypatch):
             build_vertex_operators,
             fundamental_cycle_basis,
             spanning_forest,
+            degree_in_direct,
+            degree_out_direct,
+            adjacency_direct,
+            laplacian_direct,
         )
     }
     calls = {name: [] for name in counted}
+    products = []
+    matmul = LinearMap.__matmul__
+
+    def record_product(self, other):
+        products.append((self, other))
+        return matmul(self, other)
+
+    monkeypatch.setattr(LinearMap, "__matmul__", record_product)
 
     def recorder(name, fn):
         def record(*args, **kwargs):
@@ -378,17 +404,30 @@ def test_report_computes_each_exact_quantity_once(monkeypatch):
         DirectedGraph(5, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 3))),
         DirectedGraph(4, ((0, 1), (2, 1), (1, 3))),
     ):
-        for recorded in calls.values():
+        inc = build_incidence(graph)
+
+        def vertex_laplacian_products():
+            return sum(1 for a, b in products if a == inc.diff_adj and b == inc.diff)
+
+        for recorded in (*calls.values(), products):
             recorded.clear()
         rep = build_report(graph)
         assert rep["meta"]["all_pass"] is True
-        diff = build_incidence(graph).diff
         assert len(calls["exact_kernel_basis"]) == 2
-        assert sum(1 for args in calls["exact_rank"] if args[0] == diff) == 1
+        assert sum(1 for args in calls["exact_rank"] if args[0] == inc.diff) == 1
         assert len(calls["build_super_operators"]) == 1
         assert len(calls["build_vertex_operators"]) == 1
         assert len(calls["fundamental_cycle_basis"]) == 1
         assert len(calls["spanning_forest"]) == 1
+        # the direct oracles once each, and d* d once: H's vertex block, the
+        # factorization check and the pairing spectra all read inc.vertex_laplacian
+        for name in ("degree_in_direct", "degree_out_direct", "adjacency_direct"):
+            assert len(calls[name]) == 1
+        assert calls["laplacian_direct"] == []
+        assert vertex_laplacian_products() == 1
+        products.clear()
+        assert build_report(graph, sections=("algebra", "grading"))["meta"]["all_pass"] is True
+        assert vertex_laplacian_products() == 1
 
 
 def _fail_if_built(*args, **kwargs):

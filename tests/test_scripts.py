@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import susygraph.cli
 import susygraph.report
 from susygraph.operators import build_incidence, build_super_operators
 
@@ -105,6 +106,47 @@ def test_transport_demo_fails_below_eigensolver_noise(monkeypatch, capsys):
     demo = load_script("transport_demo", monkeypatch)
     assert demo.main([str(ROOT / "graphs/c3.txt"), "--tol", "1e-20"]) == 1
     assert capsys.readouterr().out.rstrip().endswith(": FAIL")
+
+
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        (None, "cannot read {path}: "),
+        (b"\xff\xfe n=2\n", "cannot read {path}: 'utf-8' codec can't decode"),
+        (b"0 1\n", "{path}: line 1: expected 'n=<count>' first"),
+    ],
+)
+def test_transport_demo_rejects_unreadable_input(content, expected, tmp_path, monkeypatch, capsys):
+    demo = load_script("transport_demo", monkeypatch)
+    path = tmp_path / "graph.txt"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(SystemExit) as exited:
+        demo.main([str(path)])
+    out, err = capsys.readouterr()
+    assert exited.value.code == 2
+    assert out == ""
+    assert f"error: {expected.format(path=path)}" in err and err.count("error:") == 1
+
+
+@pytest.mark.parametrize(
+    "limit, value, message",
+    [
+        ("MAX_VERTICES", 2, "graph too large (n = 3, limit 2)"),
+        ("MAX_DENSE_SIZE", 5, "graph too large (n + m = 6, limit 5)"),
+    ],
+)
+def test_transport_demo_refuses_oversized_graph(limit, value, message, monkeypatch, capsys):
+    # c3 has n = 3 and n + m = 6; lowering a limit below it exercises the rule on a small graph
+    demo = load_script("transport_demo", monkeypatch)
+    monkeypatch.setattr(susygraph.cli, limit, value)
+    path = ROOT / "graphs/c3.txt"
+    with pytest.raises(SystemExit) as exited:
+        demo.main([str(path)])
+    out, err = capsys.readouterr()
+    assert exited.value.code == 2
+    assert out == ""
+    assert f"error: {path}: {message}" in err
 
 
 def test_survey_builds_each_graph_once(monkeypatch):
