@@ -9,6 +9,7 @@ the exact algebra.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from collections.abc import Iterable
@@ -52,7 +53,9 @@ HELP = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="susygraph",
         description="Operator calculus and supersymmetry checks on directed graphs.",

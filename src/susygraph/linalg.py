@@ -25,16 +25,21 @@ the number of terms in one sum, at most min(nnz(A), inner dimension)).
 Below 2**62 the work runs in int64; at or above it the same code runs on
 object arrays of Python ints.  No result wraps.
 The exact rank and kernel basis share one fraction-free forward echelon
-over Python-int row dicts built once from these arrays: each row's
-smallest column is cleared with the pivot row found for it earlier, and
-every combined row has its gcd divided out, so no rational number is ever
-formed.  The rank is the number of pivots; the kernel basis adds one
-bottom-up back-substitution that brings the echelon to its reduced form.
+over Python-int row dicts built once from these arrays, sparsest row
+first: each row's smallest column is cleared in place with the pivot row
+found for it earlier, and every combined row has its gcd divided out, so
+no rational number is ever formed.  The rank is the number of pivots; the
+kernel basis adds one bottom-up back-substitution that brings the echelon
+to its reduced form.  The pivots are the leading columns of the row space
+and the reduced form is unique, so neither result depends on the order
+the rows are taken in; the order only decides how much the rows fill in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from itertools import islice
 from math import gcd, lcm
 from typing import Iterable
 
@@ -395,76 +400,136 @@ class StateVector:
 
 
 def _int_rows(m: LinearMap) -> list[dict[int, int]]:
-    """The nonzero rows of m in row order, each as {col: int}.
+    """The nonzero rows of m, each as {col: int}, sparsest first.
 
     A map with imaginary entries a + bi gives the rows of its integer block
     form [[a, -b], [b, a]], row r as rows 2r and 2r + 1, whose rank is
     exactly twice the rank of m over the Gaussian rationals.
+
+    Rows come in increasing number of entries; ties go to the larger
+    smallest column, then to the larger largest column, then to the lower
+    row.  The order is read off the canonical arrays by one lexsort: each
+    row is a run of the sorted row array, and its first and last entries
+    hold its smallest and largest column.
     """
-    rows: dict[int, dict[int, int]] = {}
-    if not m.has_imag():
-        for r, c, re, _ in m.entries():
-            rows.setdefault(r, {})[c] = re
-        return list(rows.values())
+    row, col, value = m.row, m.col, m.value[0]
+    if m.has_imag():
+        row, col, value = _real_block(m)
+    if not row.size:
+        return []
+    # Each nonzero row is a run of the sorted row array; no work scales with the dimension.
+    starts = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
+    ends = np.append(starts[1:], row.size)
+    counts = ends - starts
+    order = np.lexsort((-col[ends - 1], -col[starts], counts))
+    # Entry positions row by row in that order, so each dict takes the next run.
+    size = counts[order]
+    take = np.arange(row.size) + np.repeat(starts[order] - (np.cumsum(size) - size), size)
+    entries = zip(col[take].tolist(), value[take].tolist())
+    return [dict(islice(entries, k)) for k in size.tolist()]
+
+
+def _real_block(m: LinearMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical (row, col, value) of the integer block form of a complex map.
+
+    Entry a + bi at (r, c) gives a at (2r, c) and (2r + 1, c + w) and -b
+    at (2r, c + w), b at (2r + 1, c), for w = m.domain.dim; zeros are left out.
+    """
     w = m.domain.dim
-    for r, c, re, im in m.entries():
-        upper, lower = rows.setdefault(2 * r, {}), rows.setdefault(2 * r + 1, {})
-        if re:
-            upper[c] = lower[c + w] = re
-        if im:
-            upper[c + w], lower[c] = -im, im
-    return list(rows.values())
+    re, im = m.value
+    row = np.concatenate((2 * m.row, 2 * m.row + 1, 2 * m.row, 2 * m.row + 1))
+    col = np.concatenate((m.col, m.col + w, m.col + w, m.col))
+    value = np.concatenate((re, re, -im, im))
+    keep = value != 0
+    row, col, value = row[keep], col[keep], value[keep]
+    order = np.lexsort((col, row))
+    return row[order], col[order], value[order]
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """row divided by the gcd of its entries, so its content is 1."""
-    g = gcd(*row.values())
-    return row if g == 1 else {c: v // g for c, v in row.items()}
+    """row divided in place by the gcd of its entries, so its content is 1."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return row
+    for c in row:
+        row[c] //= g
+    return row
 
 
-def _cleared(
-    row: dict[int, int], echelon: dict[int, dict[int, int]], cols: list[int]
-) -> dict[int, int]:
-    """L*row - sum over pc in cols of (L//p)*row[pc]*echelon[pc], made primitive.
+def _clear(
+    row: dict[int, int], prow: dict[int, int], pc: int, heap: list[int] | None = None
+) -> None:
+    """Clear row at pc in place: row becomes (p//g)*row - (row[pc]//g)*prow.
 
-    p = echelon[pc][pc] > 0 and L is the lcm of these pivots.  Each
-    echelon[pc] must be zero at the other columns in cols, so the result has
-    no entry at any of them and is a positive multiple of the rational
-    row - sum (row[pc]/p)*echelon[pc].
+    p = prow[pc] > 0 and g = gcd(p, row[pc]), so the result is a positive
+    multiple of the rational row - (row[pc]/p)*prow.  Columns that prow
+    adds to row are pushed onto heap when one is given.
     """
-    scale = lcm(*(echelon[pc][pc] for pc in cols))
-    new = {c: scale * v for c, v in row.items()} if scale != 1 else dict(row)
-    for pc in cols:
-        prow = echelon[pc]
-        q = row[pc] * (scale // prow[pc])
-        for c, v in prow.items():
-            new[c] = new.get(c, 0) - q * v
-    return _primitive({c: v for c, v in new.items() if v})
+    q, p = row[pc], prow[pc]
+    if p != 1:
+        g = gcd(p, q)
+        q //= g
+        if p != g:
+            for c in row:
+                row[c] *= p // g
+    for c, v in prow.items():
+        if c in row:
+            nv = row[c] - q * v
+            if nv:
+                row[c] = nv
+            else:
+                del row[c]
+        else:
+            row[c] = -q * v
+            if heap is not None:
+                heappush(heap, c)
 
 
 def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Fraction-free forward elimination: {pivot column: echelon row}.
 
-    Rows are taken in order.  While a row's smallest column already has a
-    pivot row, that column is cleared with it; otherwise the smallest column
-    becomes the row's pivot.  When one clearing step leads straight to the
-    next because the pivot row just used holds the next pivot column, that
-    pivot row is cleared of it too and kept, so later rows skip the step (a
-    star's edge rows would otherwise walk one step per earlier leaf).
+    Rows are taken in the order given, which _int_rows makes sparsest
+    first.  While a row's smallest column already has a pivot row, that
+    column is cleared with it in place and the row made primitive again;
+    otherwise the smallest column becomes the row's pivot.  A heap of the
+    row's columns yields the smallest one: columns a step adds are pushed
+    and columns it clears are skipped when they surface, so a step costs
+    the size of its pivot row, not of the row.  A hub row with k pivot
+    columns takes O(k log k), not k scans of k entries.
+    When one step leads straight to the next because the pivot row just
+    used holds the next pivot column, that pivot row is cleared of it too
+    and kept, so later rows skip the step (a chain's rows would otherwise
+    walk one step per earlier link, as on a wheel's spokes).
     Every echelon row is primitive with a positive pivot and no entry left
     of it; a row that clears to nothing is dropped, so the number of pivots
-    is the rank.  Pivots keep the order they were found in.
+    is the rank.
     """
     echelon: dict[int, dict[int, int]] = {}
     for row in rows:
+        heap = list(row)
+        heapify(heap)
         prev = None
-        while row and (pc := min(row)) in echelon:
+        while heap:
+            pc = heap[0]
+            if pc not in row:
+                heappop(heap)
+                continue
+            prow = echelon.get(pc)
+            if prow is None:
+                if row[pc] < 0:
+                    for c in row:
+                        row[c] = -row[c]
+                echelon[pc] = _primitive(row)
+                break
+            heappop(heap)
             if prev is not None and pc in echelon[prev]:
-                echelon[prev] = _cleared(echelon[prev], echelon, [pc])
-            row = _cleared(row, echelon, [pc])
+                _clear(echelon[prev], prow, pc)
+                _primitive(echelon[prev])
+            _clear(row, prow, pc, heap)
+            _primitive(row)
             prev = pc
-        if row:
-            echelon[pc] = _primitive(row if row[pc] > 0 else {c: -v for c, v in row.items()})
     return echelon
 
 
@@ -474,8 +539,9 @@ def exact_rank(m: LinearMap) -> int:
     The number of pivots of the forward echelon of m's columns, taken as
     the rows of m's adjoint.  The difference operator d has a row per edge
     and a column per vertex, so on a graph with more edges than vertices
-    its columns are fewer rows to clear: on dense random graphs this is
-    about a third faster than eliminating d's rows.  A complex map is
+    its columns are fewer rows to clear: on 40 dense random graphs (n 20
+    to 60) this takes half the time of eliminating d's rows, 35 against
+    73 ms on a 2-vCPU machine with Python 3.11.  A complex map is
     ranked through its integer block form [[a, -b], [b, a]] for entries
     a + bi, which has exactly twice its rank, so every intermediate is a
     Python int and no floating point is used.
@@ -498,19 +564,21 @@ def exact_kernel_basis(m: LinearMap) -> list[dict[int, int]]:
     content.  As the reduced echelon form is unique, this is the unique
     primitive integer kernel vector supported on f and the pivot columns
     with a positive entry at f.  Vectors follow the free columns; each has
-    key f first, then its pivots in the order the forward pass found them.
+    key f first, then its pivot columns in increasing order, so neither
+    the vectors nor their key order depend on the order of m's rows.
     """
     if m.has_imag():
         raise ValueError("kernel basis is only implemented for real integer maps")
     echelon = _echelon(_int_rows(m))
-    for pc in sorted(echelon, reverse=True):
+    pivots = sorted(echelon)
+    for pc in reversed(pivots):
         row = echelon[pc]
-        later = [c for c in row if c != pc and c in echelon]
-        if later:
-            echelon[pc] = _cleared(row, echelon, later)
+        for c in [c for c in row if c != pc and c in echelon]:
+            _clear(row, echelon[c], c)
+        _primitive(row)
     touching: dict[int, list[int]] = {}
-    for pc, prow in echelon.items():
-        for c in prow:
+    for pc in pivots:
+        for c in echelon[pc]:
             touching.setdefault(c, []).append(pc)
     basis: list[dict[int, int]] = []
     for f in range(m.domain.dim):

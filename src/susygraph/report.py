@@ -263,17 +263,18 @@ def failed_checks(report: dict) -> list[str]:
     meta.all_pass; a finished failing report also lists meta.all_pass.
     """
     failed: list[str] = []
-    _collect_false(report, "", failed)
+    _collect_false(report, (), failed)
     return failed
 
 
-def _collect_false(container, prefix: str, out: list[str]) -> None:
+def _collect_false(container, path: tuple, out: list[str]) -> None:
+    # The path is joined only for a false boolean, not for every nested list.
     items = sorted(container.items()) if isinstance(container, dict) else enumerate(container)
     for key, value in items:
         if value is False:
-            out.append(f"{prefix}{key}")
+            out.append(".".join(map(str, (*path, key))))
         elif isinstance(value, (dict, list)):
-            _collect_false(value, f"{prefix}{key}.", out)
+            _collect_false(value, (*path, key), out)
 
 
 def serialize_json(report: dict) -> str:

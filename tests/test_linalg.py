@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from susygraph.graph import DirectedGraph
@@ -26,6 +27,7 @@ from susygraph.linalg import (
     vertex_space,
 )
 from susygraph.operators import build_incidence
+from susygraph.rand import random_graph
 
 
 @st.composite
@@ -341,6 +343,7 @@ def test_huge_sparse_spaces_stay_exact():
     # on the coordinates {0, last}, m is [[0, i], [1, 2]]
     assert (m @ m).entries() == [(0, 0, 0, 1), (0, last, 0, 2), (last, 0, 2, 0), (last, last, 4, 1)]
     assert (m + m.adjoint()).entries() == [(0, last, 1, 1), (last, 0, 1, -1), (last, last, 4, 0)]
+    assert exact_rank(m) == 2
     # past 2**63 coordinates the int64 sort keys would wrap, so construction refuses
     with pytest.raises(ValueError):
         LinearMap.from_entries(aux_space(2**32), aux_space(2**32), [(0, 0, 1, 0)])
@@ -509,8 +512,9 @@ def fraction_kernel_basis(m):
     """Reduced row echelon form over Fraction: the reference for exact_kernel_basis.
 
     Rows in row order, pivot = smallest live column, back-substitution into
-    earlier rows; the vector for free column f is -(column f of the RREF)
-    at the pivots and 1 at f, denominators cleared and content stripped.
+    earlier rows; the vector for free column f is 1 at f, then -(column f
+    of the RREF) at the pivots in increasing order, denominators cleared
+    and content stripped.
     """
     rows: dict[int, dict[int, Fraction]] = {}
     for r, c, re, _ in m.entries():
@@ -543,6 +547,7 @@ def fraction_kernel_basis(m):
                 else:
                     erow.pop(c, None)
         echelon.append((pc_new, row))
+    echelon.sort(key=lambda entry: entry[0])
     pivots = {pc for pc, _ in echelon}
     basis = []
     for f in range(m.domain.dim):
@@ -689,6 +694,33 @@ def wide_gaussian_maps(draw, max_dim=6):
 def test_exact_rank_matches_gaussian_reference(m):
     assert exact_rank(m) == markowitz_rank(m)
     assert exact_rank(m.adjoint()) == exact_rank(m)
+
+
+def _rows_permuted(m, order):
+    """m with row r moved to row order[r]."""
+    return LinearMap.from_entries(
+        m.domain, m.codomain, [(order[r], c, re, im) for r, c, re, im in m.entries()]
+    )
+
+
+@st.composite
+def incidence_maps(draw):
+    """d or d* of a seeded random graph on up to 12 vertices."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    graph = random_graph(rng, draw(st.integers(1, 12)), draw(st.sampled_from([0.1, 0.3, 0.6])))
+    inc = build_incidence(graph)
+    return inc.diff if draw(st.booleans()) else inc.diff_adj
+
+
+@settings(max_examples=200)
+@given(st.one_of(rank_deficient_maps(), incidence_maps()), st.data())
+def test_rank_and_kernel_basis_ignore_row_order(m, data):
+    order = data.draw(st.permutations(range(m.codomain.dim)))
+    permuted = _rows_permuted(m, order)
+    assert exact_rank(permuted) == exact_rank(m)
+    basis, permuted_basis = exact_kernel_basis(m), exact_kernel_basis(permuted)
+    assert permuted_basis == basis
+    assert [list(vec) for vec in permuted_basis] == [list(vec) for vec in basis]
 
 
 @given(rank_deficient_maps())

@@ -177,15 +177,42 @@ def test_kernel_and_cycles_scale_on_long_path(command, tmp_path):
     # graph, once made 60000 components quadratic in time and memory.
     many = _write_many_components(tmp_path)
     for graph_file, rank, bosonic, cycle_count in ((path, 19999, 1, 0), (many, 40000, 60000, 20000)):
-        proc = _run_with_address_limit(command, str(graph_file), "--format", "json")
-        assert proc.returncode == 0, proc.stderr
-        rep = json.loads(proc.stdout)
-        assert rep["meta"]["all_pass"] is True
-        if command == "kernel":
-            assert rep["kernel"]["rank"] == rank
-            assert rep["kernel"]["zero_modes"]["bosonic"] == bosonic
-        else:
-            assert rep["cycles"]["cycle_count"] == cycle_count
+        _assert_sparse_run(command, graph_file, rank, bosonic, cycle_count)
+
+
+def _assert_sparse_run(command: str, graph_file: Path, rank: int, bosonic: int, cycle_count: int):
+    """kernel or cycles on graph_file passes within the limits and reports these counts."""
+    proc = _run_with_address_limit(command, str(graph_file), "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["meta"]["all_pass"] is True
+    if command == "kernel":
+        assert rep["kernel"]["rank"] == rank
+        assert rep["kernel"]["zero_modes"]["bosonic"] == bosonic
+    else:
+        assert rep["cycles"]["cycle_count"] == cycle_count
+
+
+def _wheel(spokes: int) -> DirectedGraph:
+    """Hub 0 with a spoke to each rim vertex 1..spokes, then the rim cycle 1 -> 2 -> ... -> 1."""
+    rim = range(1, spokes + 1)
+    return DirectedGraph(
+        spokes + 1, tuple((0, v) for v in rim) + tuple((v, v % spokes + 1) for v in rim)
+    )
+
+
+@pytest.mark.parametrize("command", ["kernel", "cycles"])
+def test_kernel_and_cycles_scale_on_hubs(command, tmp_path):
+    # Rows taken in index order once made a hub quadratic: each leaf row was
+    # cleared against the hub's pivot row and filled in.
+    star = DirectedGraph(10001, tuple((0, leaf) for leaf in range(1, 10001)))
+    for name, graph, rank, bosonic, cycle_count in (
+        ("star", star, 10000, 1, 0),
+        ("wheel", _wheel(10000), 10000, 1, 10000),
+    ):
+        graph_file = tmp_path / f"{name}.txt"
+        graph_file.write_text(format_edge_list(graph), encoding="utf-8")
+        _assert_sparse_run(command, graph_file, rank, bosonic, cycle_count)
 
 
 def test_check_scales_on_many_components(tmp_path):
@@ -343,6 +370,17 @@ def test_path_stencil_selftest_decides_the_verdict(monkeypatch, capsys):
     assert failed_checks(rep) == ["meta.all_pass", "meta.selftest.path_stencil_ok"]
     assert main(["report", str(GRAPHS / "c3.txt"), "--format", "json"]) == 1
     assert json.loads(capsys.readouterr().out)["meta"]["all_pass"] is False
+
+
+def test_failed_checks_names_nested_false_booleans():
+    report = {
+        "b": {"ok": False, "fine": True, "inner": {"deep": False}},
+        "a": [True, False, [0, False]],
+        "c": [{"x": False, "y": 0}, {"x": True}, {"z": [False]}],
+        "d": False,
+        "e": 0,
+    }
+    assert failed_checks(report) == ["a.1", "a.2.1", "b.inner.deep", "b.ok", "c.0.x", "c.2.z.0", "d"]
 
 
 @pytest.mark.parametrize("broken_stencil", [False, True])
