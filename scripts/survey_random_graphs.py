@@ -5,7 +5,9 @@ every check the CLI runs runs here too, and a check fails exactly when the
 report's boolean is false.  A summary table goes to stdout: the worst polar
 residual, the spectral gaps of the vertex Laplacian, and the failed checks
 counted per report section.  Each graph with a failed check is listed with
-the report paths of its false booleans and flips the exit code.
+the report paths of its false booleans and flips the exit code.  A sampled
+graph that `susygraph report` would refuse as too large stops the survey
+with exit status 2.
 
 Example:
     python3 scripts/survey_random_graphs.py --graphs 100 --max-vertices 40
@@ -20,9 +22,13 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from susygraph.cli import tolerance_error
+from susygraph.cli import SECTIONS, size_error, tolerance_error
 from susygraph.rand import random_graph
 from susygraph.report import build_report, failed_checks
+
+
+class GraphTooLarge(ValueError):
+    """A sampled graph exceeds a size limit of `susygraph report`."""
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,9 @@ def survey(config: SurveyConfig) -> SurveyResult:
         mode = "oriented" if index % 2 == 0 else "symmetric"
         g = random_graph(rng, n, p, mode)
         label = f"graph {index} (n={g.num_vertices}, m={g.num_edges}, {g.mode})"
+        problem = size_error(g, SECTIONS["report"])
+        if problem:
+            raise GraphTooLarge(f"{label}: {problem}")
         result.graphs += 1
         result.total_vertices += g.num_vertices
         result.total_edges += g.num_edges
@@ -107,7 +116,10 @@ def main(argv: list[str] | None = None) -> int:
         graphs=args.graphs, max_vertices=args.max_vertices, seed=args.seed, tol=args.tol
     )
     start = time.monotonic()
-    result = survey(config)
+    try:
+        result = survey(config)
+    except GraphTooLarge as exc:
+        parser.error(str(exc))
     print_summary(config, result, time.monotonic() - start)
     return 0 if result.clean else 1
 

@@ -147,8 +147,10 @@ def parse_edge_list(text: str, mode_override: str | None = None) -> DirectedGrap
                 raise MalformedLine(f"line {lineno}: bad vertex count in {line!r}") from None
             continue
         if line.startswith("mode="):
-            if mode_seen or edges:
+            if edges:
                 raise MalformedLine(f"line {lineno}: mode line must come before edges")
+            if mode_seen:
+                raise MalformedLine(f"line {lineno}: duplicate mode line")
             mode = line[5:].strip()
             if mode not in MODES:
                 raise MalformedLine(f"line {lineno}: unknown mode {mode!r}")
@@ -232,13 +234,15 @@ class SpanningForest:
     index.  parent[v] is the BFS parent of vertex v and parent_edge[v] the
     representative joining them, both -1 at a root; depth[v] is the distance
     from v's root.  components lists each component's sorted vertices,
-    ordered by least vertex.  tree_edges are the sorted tree representatives;
+    ordered by least vertex, and component[v] is the index in components
+    of v's component.  tree_edges are the sorted tree representatives;
     chords are the remaining representatives, by component and then by index.
     """
 
     parent: tuple[int, ...]
     parent_edge: tuple[int, ...]
     depth: tuple[int, ...]
+    component: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
     tree_edges: tuple[int, ...]
     chords: tuple[int, ...]
@@ -286,6 +290,7 @@ def spanning_forest(graph: DirectedGraph) -> SpanningForest:
         parent=tuple(parent),
         parent_edge=tuple(parent_edge),
         depth=tuple(depth),
+        component=tuple(component),
         components=tuple(components),
         tree_edges=tuple(sorted(k for k in parent_edge if k >= 0)),
         chords=tuple(k for comp_chords in chords for k in comp_chords),

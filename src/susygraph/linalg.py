@@ -166,14 +166,20 @@ class LinearMap:
     def from_entries(
         cls, domain: Space, codomain: Space, entries: Iterable[tuple[int, int, int, int]]
     ) -> "LinearMap":
-        """Build from (row, col, re, im) tuples; duplicate coordinates accumulate."""
+        """Build from (row, col, re, im) integer tuples; duplicate coordinates accumulate.
+
+        Raises TypeError on an entry with a component that is not an integer.
+        """
         data = list(entries)
         if not data:
             return cls.zero(domain, codomain)
-        try:
-            table = np.array(data, dtype=np.int64)
-        except OverflowError:
-            table = np.array(data, dtype=object)
+        table = np.array(data)
+        if table.dtype.kind != "i":
+            # A float, a string, or an integer past int64 (inferred as uint64, float64 or object).
+            for entry in data:
+                if not all(isinstance(x, (int, np.integer)) for x in entry):
+                    raise TypeError(f"entry {tuple(entry)!r} has a non-integer component")
+            table = np.array([[int(x) for x in entry] for entry in data], dtype=object)
         row, col, parts = table[:, 0], table[:, 1], table[:, 2:]
         outside = (row < 0) | (row >= codomain.dim) | (col < 0) | (col >= domain.dim)
         if outside.any():

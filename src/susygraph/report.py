@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .cycles import cycle_space_report
-from .graph import DirectedGraph, connected_components, format_edge_list
+from .graph import DirectedGraph, format_edge_list
 from .linalg import stack_columns
 from .operators import build_incidence, laplacian_stencil_apply, path_second_difference_ok
 from .spectral import (
@@ -60,7 +60,7 @@ def _graph_section(graph: DirectedGraph) -> dict:
         "num_vertices": graph.num_vertices,
         "num_edges": graph.num_edges,
         "mode": graph.mode,
-        "num_components": len(connected_components(graph)),
+        "num_components": len(graph.spanning_forest.components),
         "num_reciprocal_pairs": len(graph.reciprocal_pairs),
         "edges": [[tail, head] for tail, head in graph.edges],
     }
@@ -179,14 +179,15 @@ def _cycles_section(inc) -> dict:
 def _stencil_selftest(inc, seed: int) -> dict:
     """Compare the vertex Laplacian with the edge-list stencil on seeded integer values.
 
-    The operator side is an exact sparse product; the stencil's float sums
-    of these small integers are exact too, so a correct Laplacian gives a
-    defect of exactly 0 at any size, and no n x n array is formed.
+    The operator side is inc.vertex_laplacian (d*d, shared with H and the
+    factorization check) times one column; the stencil's float sums of these
+    small integers are exact too, so a correct Laplacian gives a defect of
+    exactly 0 at any size, and no n x n array is formed.
     """
     rng = random.Random(seed)
     n = inc.vertex.dim
     values = [rng.randint(-STENCIL_VALUE_BOUND, STENCIL_VALUE_BOUND) for _ in range(n)]
-    laplacian = inc.vertex_operators.laplacian
+    laplacian = inc.vertex_laplacian
     column = stack_columns([dict(enumerate(values))], laplacian.domain)
     via_operator = (laplacian @ column).to_dense()[:, 0]
     via_stencil = laplacian_stencil_apply(inc.graph, values)
@@ -212,9 +213,9 @@ def build_report(
     constant.  meta carries tool identity, parameters, the input digest,
     the seeded stencil self-test, and cross-section consistency checks.
     Every section reads one incidence object, so each exact rank, kernel
-    basis, cycle basis, Laplacian, vertex operator and spectrum they share
-    is computed once; the super operators are built only when a section
-    that reads them runs (algebra, grading, spectra, pairing).
+    basis, cycle basis, Laplacian and spectrum they share is computed once;
+    the vertex operators are built only for algebra, and the super operators
+    only when a section that reads them runs (algebra, grading, spectra, pairing).
     """
     inc = build_incidence(graph)
     want = set(sections)

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import connected_components
-from .linalg import LinearMap, Space, StateVector, exact_rank, stack_columns
+from .linalg import LinearMap, Space, SpaceMismatch, StateVector, exact_rank, stack_columns
 from .operators import IncidenceOperators, SuperOperators
 
 
@@ -56,26 +55,22 @@ class KernelReport:
 
 def kernel_report(inc: IncidenceOperators) -> KernelReport:
     g = inc.graph
-    comps = connected_components(g)
-    vertex_to_comp = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            vertex_to_comp[v] = ci
-    edge_counts = [0] * len(comps)
+    forest = g.spanning_forest
+    edge_counts = [0] * len(forest.components)
     for tail, _ in g.edges:
-        edge_counts[vertex_to_comp[tail]] += 1
-    breakdown = tuple((len(comp), edge_counts[ci]) for ci, comp in enumerate(comps))
+        edge_counts[forest.component[tail]] += 1
+    breakdown = tuple(zip(map(len, forest.components), edge_counts))
     rank = inc.rank
     n, m = g.num_vertices, g.num_edges
     dim_ker_diff = n - rank
     dim_ker_adj = m - rank
-    formulas = dim_ker_diff == len(comps) and dim_ker_adj == sum(
+    formulas = dim_ker_diff == len(breakdown) and dim_ker_adj == sum(
         mc - (nc - 1) for nc, mc in breakdown
     )
     return KernelReport(
         num_vertices=n,
         num_edges=m,
-        num_components=len(comps),
+        num_components=len(breakdown),
         components=breakdown,
         rank=rank,
         dim_ker_diff=dim_ker_diff,
@@ -427,10 +422,12 @@ def transport_eigenpair(
 ) -> TransportReport:
     """Carry a positive-energy vertex eigenpair across the supersymmetry.
 
-    Raises NotAnEigenpair if the input fails its own eigenvalue equation at
-    tol, if the energy is not positive, or if the vector is negligibly
-    small.
+    Raises SpaceMismatch if vertex_vector is not on inc's vertex space, and
+    NotAnEigenpair if the input fails its own eigenvalue equation at tol,
+    if the energy is not positive, or if the vector is negligibly small.
     """
+    if vertex_vector.space != inc.vertex:
+        raise SpaceMismatch(f"vertex vector on {vertex_vector.space}, not {inc.vertex}")
     if energy <= 0:
         raise NotAnEigenpair(f"transport requires positive energy, got {energy}")
     if float(np.linalg.norm(vertex_vector.coefficients)) < tol:

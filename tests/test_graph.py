@@ -85,6 +85,20 @@ def test_parse_malformed(text):
         parse_edge_list(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n=3\nmode=oriented\nmode=oriented\n0 1\n", "line 3: duplicate mode line"),
+        ("n=3\nmode=symmetric\n# note\nmode=oriented\n", "line 4: duplicate mode line"),
+        ("n=3\n0 1\nmode=oriented\n", "line 3: mode line must come before edges"),
+        ("n=3\nmode=oriented\n0 1\nmode=oriented\n", "line 4: mode line must come before edges"),
+    ],
+)
+def test_parse_names_misplaced_mode_line(text, message):
+    with pytest.raises(MalformedLine, match=f"^{message}$"):
+        parse_edge_list(text)
+
+
 def test_parse_mode_override():
     text = "n=2\n0 1\n1 0\n"
     assert parse_edge_list(text).mode == ORIENTED
@@ -194,7 +208,8 @@ def test_spanning_tree_properties(g):
         k for k in range(g.num_edges) if k not in higher
     ]
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-    keys = [(comp_of[g.edges[k][0]], k) for k in forest.chords]
+    assert forest.component == tuple(comp_of[v] for v in range(g.num_vertices))
+    keys = [(forest.component[g.edges[k][0]], k) for k in forest.chords]
     assert keys == sorted(keys)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -81,6 +82,33 @@ def test_from_entries_rejects_out_of_range():
     s = aux_space(2)
     with pytest.raises(SpaceMismatch):
         LinearMap.from_entries(s, s, [(2, 0, 1, 0)])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        (0, 0, 1.5, 0),
+        (0, 0, 2.0, 0),
+        (0.9, 0, 1, 0),
+        (0, np.float64(1), 1, 0),
+        (0, 0, "3", 0),
+        (0, 0, 1, 1j),
+    ],
+)
+@pytest.mark.parametrize("beside", [None, (1, 1, 2**63, 0), (1, 1, 2**70, 0)])
+def test_from_entries_rejects_non_integers(entry, beside):
+    s = aux_space(2)
+    data = [entry] if beside is None else [beside, entry]
+    with pytest.raises(TypeError, match=re.escape(repr(entry))):
+        LinearMap.from_entries(s, s, data)
+
+
+@pytest.mark.parametrize("big", [2**63, -(2**63) - 1, 2**70])
+def test_from_entries_keeps_integers_past_int64_exact(big):
+    s = aux_space(2)
+    m = LinearMap.from_entries(s, s, [(0, 0, big, 0), (1, 0, np.int64(3), -1)])
+    assert m.entries() == [(0, 0, big, 0), (1, 0, 3, -1)]
+    assert m.value.dtype == object and _all_python_ints(m)
 
 
 def test_entries_sorted_and_triplet_format():

@@ -10,6 +10,7 @@ from conftest import directed_graphs
 from susygraph.graph import DirectedGraph, GraphFormatError, symmetrize
 from susygraph.linalg import LinearMap, StateVector
 from susygraph.operators import (
+    IncidenceOperators,
     adjacency_direct,
     build_incidence,
     build_super_operators,
@@ -17,7 +18,6 @@ from susygraph.operators import (
     degree_in_direct,
     degree_out_direct,
     laplacian_direct,
-    laplacian_stencil,
     laplacian_stencil_apply,
     path_graph,
     path_second_difference_ok,
@@ -82,6 +82,9 @@ def test_incidence_entries_are_signs(g):
         assert (c, re) in ((tail, -1), (head, 1))
     assert inc.diff == inc.d_head - inc.d_tail
     assert inc.diff_adj == inc.d_head.adjoint() - inc.d_tail.adjoint()
+    # built in canonical form: a rebuild that sorts and sums its entries is equal
+    for m in (inc.d_head, inc.d_tail):
+        assert m == LinearMap.from_entries(m.domain, m.codomain, m.entries())
 
 
 def test_k2_laplacian():
@@ -140,10 +143,28 @@ def test_edge_laplacian_symmetric_psd():
 
 def test_path_second_difference_pattern():
     assert path_second_difference_ok(50)
-    rows = laplacian_stencil(build_incidence(path_graph(5)))
-    assert rows[1] == {0: -1, 1: 2, 2: -1}
-    assert rows[0] == {0: 2, 1: -1}
-    assert rows[3] == {2: -1, 3: 2}
+    rows = build_incidence(path_graph(5)).edge_laplacian.to_dense_real()
+    assert rows[1].tolist() == [-1, 2, -1, 0]
+    assert rows[0].tolist() == [2, -1, 0, 0]
+    assert rows[3].tolist() == [0, 0, -1, 2]
+
+
+@pytest.mark.parametrize("num_vertices", [1, 2, 3, 50])
+def test_path_second_difference_ok_on_short_paths(num_vertices):
+    assert path_second_difference_ok(num_vertices)
+
+
+@pytest.mark.parametrize("corrupt", ["drop_entry", "scale", "shift"])
+def test_path_second_difference_fails_on_corrupted_laplacian(corrupt, monkeypatch):
+    lap = build_incidence(path_graph(50)).edge_laplacian
+    if corrupt == "drop_entry":
+        bad = LinearMap.from_entries(lap.domain, lap.codomain, lap.entries()[1:])
+    elif corrupt == "scale":
+        bad = lap.scale(2)
+    else:
+        bad = lap + LinearMap.from_entries(lap.domain, lap.codomain, [(10, 30, 1, 0)])
+    monkeypatch.setattr(IncidenceOperators, "edge_laplacian", property(lambda inc: bad))
+    assert not path_second_difference_ok(50)
 
 
 @given(directed_graphs(max_vertices=9))
@@ -154,6 +175,26 @@ def test_vertex_stencil_matches_operator(g):
     via_op = dense(vops.laplacian) @ f
     via_stencil = laplacian_stencil_apply(g, f).real
     assert np.max(np.abs(via_op - via_stencil)) < 1e-12
+
+
+def edge_by_edge_stencil(g, values):
+    """Reference for laplacian_stencil_apply: the same sums, one edge at a time."""
+    out = [0j] * g.num_vertices
+    for tail, head in g.edges:
+        out[tail] -= values[head] - values[tail]
+        out[head] -= values[tail] - values[head]
+    return np.array(out)
+
+
+@given(directed_graphs(max_vertices=9))
+def test_vertex_stencil_matches_edge_by_edge_reference(g):
+    rng = np.random.default_rng(2)
+    ints = [complex(v) for v in rng.integers(-1000, 1001, size=g.num_vertices)]
+    # small integer sums are exact in either order
+    assert np.array_equal(laplacian_stencil_apply(g, ints), edge_by_edge_stencil(g, ints))
+    values = rng.normal(size=g.num_vertices) + 1j * rng.normal(size=g.num_vertices)
+    got = laplacian_stencil_apply(g, values)
+    assert np.max(np.abs(got - edge_by_edge_stencil(g, values)), initial=0.0) < 1e-12
 
 
 def test_super_operator_blocks_k2():

@@ -468,6 +468,31 @@ def test_report_computes_each_exact_quantity_once(monkeypatch):
         assert vertex_laplacian_products() == 1
 
 
+@pytest.mark.parametrize(
+    "command, vertex_builds, super_builds",
+    [("kernel", 0, 0), ("cycles", 0, 0), ("spectrum", 0, 1), ("check", 1, 1), ("report", 1, 1)],
+)
+def test_each_command_builds_only_the_operators_it_reads(
+    command, vertex_builds, super_builds, monkeypatch, capsys
+):
+    # the stencil self-test reads inc.vertex_laplacian, so only the algebra
+    # section's factorization check builds the degree and adjacency operators
+    calls = {"build_vertex_operators": 0, "build_super_operators": 0}
+
+    def counted(name, fn):
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(susygraph.operators, name, counted(name, getattr(susygraph.operators, name)))
+    assert main([command, str(GRAPHS / "c3.txt"), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["meta"]["all_pass"] is True
+    assert calls == {"build_vertex_operators": vertex_builds, "build_super_operators": super_builds}
+
+
 def _fail_if_built(*args, **kwargs):
     raise AssertionError("an oversized graph reached build_report")
 

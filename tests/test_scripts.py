@@ -149,6 +149,31 @@ def test_transport_demo_refuses_oversized_graph(limit, value, message, monkeypat
     assert f"error: {path}: {message}" in err
 
 
+@pytest.mark.parametrize(
+    "limit, value, message",
+    [
+        ("MAX_VERTICES", 3, "graph too large (n = 8, limit 3)"),
+        ("MAX_DENSE_SIZE", 10, "graph too large (n + m = 23, limit 10)"),
+        ("MAX_EXACT_SIZE", 20, "graph too large (edge Laplacian up to 115 entries, limit 20)"),
+    ],
+)
+def test_survey_refuses_oversized_graph(limit, value, message, monkeypatch, capsys):
+    # the first graph of seed 0 with at most 8 vertices has n = 8 and m = 15
+    survey = load_script("survey_random_graphs", monkeypatch)
+    monkeypatch.setattr(susygraph.cli, limit, value)
+    monkeypatch.setattr(survey, "build_report", _fail_if_reported)
+    with pytest.raises(SystemExit) as exited:
+        survey.main(["--graphs", "3", "--max-vertices", "8"])
+    out, err = capsys.readouterr()
+    assert exited.value.code == 2
+    assert out == ""
+    assert f"error: graph 0 (n=8, m=15, oriented): {message}" in err
+
+
+def _fail_if_reported(*args, **kwargs):
+    raise AssertionError("an oversized graph reached build_report")
+
+
 def test_survey_builds_each_graph_once(monkeypatch):
     survey = load_script("survey_random_graphs", monkeypatch)
     counted = {f.__name__: f for f in (build_incidence, build_super_operators, np.linalg.eigvalsh)}

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 
 from conftest import connected_graphs, directed_graphs
 from susygraph.graph import ORIENTED, SYMMETRIC, DirectedGraph, load_edge_list, symmetrize
-from susygraph.linalg import LinearMap, StateVector, aux_space
+from susygraph.linalg import LinearMap, SpaceMismatch, StateVector, aux_space
 from susygraph.operators import build_incidence, build_super_operators, path_graph
 from susygraph.rand import random_graph
 from susygraph.spectral import (
@@ -271,6 +271,29 @@ def test_transport_rejects_bad_input():
     tiny = StateVector.from_values(inc.vertex, [1e-9, -1e-9])
     with pytest.raises(NotAnEigenpair):
         transport_eigenpair(inc, 2.0, tiny)
+
+
+@pytest.mark.parametrize(
+    "graph, space",
+    [
+        # c3 has n = m = 3, so only the space tag tells the vectors apart
+        (DirectedGraph(3, ((0, 1), (1, 2), (2, 0))), "edge"),
+        (DirectedGraph(3, ((0, 1), (1, 2), (2, 0))), "aux"),
+        # a path with n = 4 and m = 3, and a 4-vertex graph with m = 2
+        (path_graph(4), "edge"),
+        (DirectedGraph(4, ((0, 1), (2, 3))), "edge"),
+    ],
+)
+def test_transport_rejects_vector_off_the_vertex_space(graph, space):
+    inc = build_incidence(graph)
+    target = inc.edge if space == "edge" else aux_space(graph.num_edges)
+    vals, vecs = eigensystem(inc.vertex_laplacian)
+    wrong = StateVector(target, np.ones(target.dim))
+    with pytest.raises(SpaceMismatch):
+        transport_eigenpair(inc, float(vals[-1]), wrong)
+    # the top eigenvector of the vertex Laplacian still transports
+    rep = transport_eigenpair(inc, float(vals[-1]), StateVector(inc.vertex, vecs[:, -1]))
+    assert rep.max_residual < 1e-10
 
 
 def test_transport_path3():
