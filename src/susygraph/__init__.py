@@ -22,7 +22,6 @@ from .graph import (
     SelfLoop,
     SpanningForest,
     SymmetricModeViolation,
-    bfs_spheres,
     connected_components,
     load_edge_list,
     parse_edge_list,
@@ -40,7 +39,6 @@ from .linalg import (
     edge_space,
     exact_kernel_basis,
     exact_rank,
-    serialize_triplets,
     super_space,
     vertex_space,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "TransportReport",
     "VertexOperators",
     "anticommutator",
-    "bfs_spheres",
     "build_incidence",
     "build_report",
     "commutator",
@@ -118,7 +115,6 @@ __all__ = [
     "polar_decompose",
     "reorient",
     "serialize_report",
-    "serialize_triplets",
     "spanning_forest",
     "super_space",
     "symmetric_spectrum",

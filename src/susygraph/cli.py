@@ -38,7 +38,8 @@ MAX_DENSE_SIZE = 4096
 DENSE_SECTIONS = {"spectra", "pairing", "polar"}
 # The algebra and grading sections multiply by the edge Laplacian d d*, whose
 # entries are its diagonal and the ordered pairs of edges that share a vertex.
-# A 2000-leaf star (4.0M entries) takes about 1 GB; a graph whose bound on
+# On a 2000-leaf star (4.0M entries) check peaks at about 610 MB and spectrum at
+# about 650 MB (2-vCPU machine, Python 3.11, numpy 2.4); a graph whose bound on
 # that count exceeds the limit is refused before any operator is built.
 # The kernel and cycles sections are sparse and have only the vertex limit.
 MAX_EXACT_SIZE = 1 << 23

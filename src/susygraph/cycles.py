@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DirectedGraph, SpanningForest
-from .linalg import LinearMap, exact_rank, stack_columns
+from .linalg import LinearMap, exact_rank
 from .operators import IncidenceOperators
 
 
@@ -131,16 +131,15 @@ class CycleSpaceReport:
 def cycle_space_report(inc: IncidenceOperators) -> CycleSpaceReport:
     """Check the fundamental cycle basis of inc.graph against exact kernel data.
 
-    The cycle basis and the exact rank of the difference operator are
-    inc's own, so they are shared with every other analysis handed inc.
+    The cycle basis, its stacked map and rank, and the exact rank of the
+    difference operator are inc's own, so they are shared with every other
+    analysis handed inc.
     """
     graph = inc.graph
     basis = inc.cycle_basis
     forest = basis.forest
     expected = graph.num_edges - graph.num_vertices + len(forest.components)
-    stacked = stack_columns(list(basis.vectors), inc.edge)
-    closure = inc.diff_adj @ stacked
-    rank = exact_rank(stacked)
+    closure = inc.diff_adj @ inc.cycle_matrix
     diff_rank = inc.rank
     kernel_dim = graph.num_edges - diff_rank
     # the tree rows of d, a row subset of a canonical map and so canonical itself
@@ -157,7 +156,7 @@ def cycle_space_report(inc: IncidenceOperators) -> CycleSpaceReport:
         basis=basis,
         expected_dimension=expected,
         closure_residual=closure.max_abs(),
-        basis_rank=rank,
+        basis_rank=inc.cycle_rank,
         kernel_dimension=kernel_dim,
         num_components=len(forest.components),
         tree_diff_rank=tree_diff_rank,

@@ -295,32 +295,3 @@ def spanning_forest(graph: DirectedGraph) -> SpanningForest:
         tree_edges=tuple(sorted(k for k in parent_edge if k >= 0)),
         chords=tuple(k for comp_chords in chords for k in comp_chords),
     )
-
-
-@dataclass(frozen=True)
-class BfsLayers:
-    """Distance layers around a root: layer k holds vertices at graph distance k."""
-
-    root: int
-    layers: tuple[tuple[int, ...], ...]
-    distance: dict[int, int]
-
-
-def bfs_spheres(graph: DirectedGraph, root: int = 0) -> BfsLayers:
-    """Concentric spheres of the undirected distance from root."""
-    if not (0 <= root < graph.num_vertices):
-        raise IndexOutOfRange(f"root {root} out of range")
-    distance = {root: 0}
-    layers: list[list[int]] = [[root]]
-    frontier = [root]
-    while frontier:
-        nxt: list[int] = []
-        for v in frontier:
-            for w in graph.undirected_neighbors[v]:
-                if w not in distance:
-                    distance[w] = distance[v] + 1
-                    nxt.append(w)
-        if nxt:
-            layers.append(sorted(nxt))
-        frontier = sorted(nxt)
-    return BfsLayers(root=root, layers=tuple(tuple(l) for l in layers), distance=distance)

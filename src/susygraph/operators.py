@@ -28,6 +28,7 @@ from .linalg import (
     edge_space,
     exact_kernel_basis,
     exact_rank,
+    stack_columns,
     super_space,
     vertex_space,
 )
@@ -78,6 +79,16 @@ class IncidenceOperators:
         from .cycles import fundamental_cycle_basis
 
         return fundamental_cycle_basis(self.graph)
+
+    @cached_property
+    def cycle_matrix(self) -> LinearMap:
+        """The cycle basis vectors stacked as the columns of a map into edge functions."""
+        return stack_columns(list(self.cycle_basis.vectors), self.edge)
+
+    @cached_property
+    def cycle_rank(self) -> int:
+        """Exact rank of cycle_matrix; the basis is independent when it equals its size."""
+        return exact_rank(self.cycle_matrix)
 
     @cached_property
     def vertex_laplacian(self) -> LinearMap:

@@ -122,7 +122,9 @@ def multisets_match(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     if a.shape != b.shape:
         return False
     scale = np.maximum(np.abs(a), np.abs(b))
-    bound = np.where(scale <= 1.0, tol, tol * scale)
+    # A tol near the float maximum overflows tol * scale to inf, which is still the right bound.
+    with np.errstate(over="ignore"):
+        bound = np.where(scale <= 1.0, tol, tol * scale)
     return bool(np.all(np.abs(a - b) <= bound))
 
 
@@ -534,7 +536,9 @@ class ZeroModeReport:
     weakly connected component; fermionic zero modes are cycle vectors.
     counts_match compares the exact kernel bases against the dimension
     report; cycles_span_kernel checks by exact rank that the fundamental
-    cycle basis spans the same space as the adjoint kernel.  The index is
+    cycle basis is a basis of the adjoint kernel: it has m - rank vectors,
+    they are independent, and adding them to the exact kernel basis
+    raises no rank, so they lie in the kernel.  The index is
     their difference, components minus cycle dimension.
     """
 
@@ -560,7 +564,11 @@ def zero_mode_classification(inc: IncidenceOperators) -> ZeroModeReport:
     counts = len(vertex_kernel) == dim_ker_diff and len(edge_kernel) == dim_ker_adj
     cycles = inc.cycle_basis
     combined = stack_columns(list(edge_kernel) + list(cycles.vectors), inc.edge)
-    spans = len(cycles.vectors) == dim_ker_adj and exact_rank(combined) == dim_ker_adj
+    spans = (
+        len(cycles.vectors) == dim_ker_adj
+        and inc.cycle_rank == dim_ker_adj
+        and exact_rank(combined) == dim_ker_adj
+    )
     return ZeroModeReport(
         bosonic=len(vertex_kernel),
         fermionic=len(edge_kernel),

@@ -17,7 +17,6 @@ from susygraph.graph import (
     MalformedLine,
     SelfLoop,
     SymmetricModeViolation,
-    bfs_spheres,
     connected_components,
     format_edge_list,
     parse_edge_list,
@@ -211,27 +210,3 @@ def test_spanning_tree_properties(g):
     assert forest.component == tuple(comp_of[v] for v in range(g.num_vertices))
     keys = [(forest.component[g.edges[k][0]], k) for k in forest.chords]
     assert keys == sorted(keys)
-
-
-def test_bfs_spheres_path():
-    g = DirectedGraph(4, ((0, 1), (1, 2), (2, 3)))
-    layers = bfs_spheres(g, root=0)
-    assert layers.layers == ((0,), (1,), (2,), (3,))
-    assert layers.distance == {0: 0, 1: 1, 2: 2, 3: 3}
-    # direction is ignored
-    rev = bfs_spheres(reorient(g, [0, 1, 2]), root=0)
-    assert rev.layers == layers.layers
-
-
-@given(directed_graphs(min_vertices=1, max_vertices=8))
-def test_bfs_spheres_partition_component(g):
-    layers = bfs_spheres(g, root=0)
-    comp0 = next(c for c in connected_components(g) if 0 in c)
-    seen = sorted(v for layer in layers.layers for v in layer)
-    assert seen == comp0
-    for v, dist in layers.distance.items():
-        assert v in layers.layers[dist]
-        if v != 0:
-            assert any(
-                layers.distance.get(w) == dist - 1 for w in g.undirected_neighbors[v]
-            )

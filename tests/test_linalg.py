@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from susygraph import linalg
 from susygraph.graph import DirectedGraph
 from susygraph.linalg import (
     LinearMap,
@@ -23,7 +28,6 @@ from susygraph.linalg import (
     edge_space,
     exact_kernel_basis,
     exact_rank,
-    serialize_triplets,
     stack_columns,
     vertex_space,
 )
@@ -115,7 +119,6 @@ def test_entries_sorted_and_triplet_format():
     s = aux_space(3)
     m = LinearMap.from_entries(s, s, [(2, 0, 1, 0), (0, 1, 0, -2), (1, 1, 3, 0)])
     assert m.entries() == [(0, 1, 0, -2), (1, 1, 3, 0), (2, 0, 1, 0)]
-    assert serialize_triplets(m) == ["(0, 1, 0, -2)", "(1, 1, 3, 0)", "(2, 0, 1, 0)"]
 
 
 def test_shape_mismatch_raises():
@@ -531,6 +534,116 @@ def test_non_interleaving_sums_are_canonical(pair, factor, data):
         for total, ref in ((x + y, x.entries() + y.entries()), (x - y, x.entries() + (-y).entries())):
             assert _is_canonical(total)
             assert total.entries() == sorted(ref)
+
+
+# -- products expanded in blocks of rows -------------------------------------
+#
+# A product expands at most _BLOCK_TERMS terms at once, in blocks of whole
+# left rows.  With the constant patched down to a few terms, small maps take
+# many blocks and must give the one-block result bit for bit.
+
+
+def _one_block(a, b):
+    with mock.patch.object(linalg, "_BLOCK_TERMS", 1 << 62):
+        return a @ b
+
+
+def _assert_same_arrays(m, ref):
+    assert m == ref
+    for name in ("row", "col", "value"):
+        assert getattr(m, name).dtype == getattr(ref, name).dtype
+
+
+near_int64_limit = st.one_of(
+    st.integers(-3, 3), st.integers(2**61 - 4, 2**62 + 4), st.integers(-(2**62) - 4, -(2**61) + 4)
+)
+
+
+@given(
+    st.sampled_from(["real", "complex", "wide"]),
+    st.integers(1, 5),
+    st.data(),
+)
+def test_blocked_products_match_one_block_and_python_ints(kind, block, data):
+    values = {"real": st.integers(-3, 3), "complex": st.integers(-3, 3), "wide": near_int64_limit}
+    a, b = data.draw(composable_pairs(max_dim=4, values=values[kind]))
+    if kind == "real":
+        a, b = (
+            LinearMap.from_entries(m.domain, m.codomain, [(r, c, re, 0) for r, c, re, _ in m.entries()])
+            for m in (a, b)
+        )
+    with mock.patch.object(linalg, "_BLOCK_TERMS", block):
+        product = a @ b
+    _assert_same_arrays(product, _one_block(a, b))
+    assert {(r, c): (re, im) for r, c, re, im in product.entries()} == _python_product(a, b)
+    assert _is_canonical(product)
+
+
+@given(composable_pairs(max_dim=6), st.integers(1, 6))
+def test_row_blocks_cut_whole_rows_within_the_bound(pair, block):
+    a, b = pair
+    assume(a.nnz and b.nnz)
+    count = np.array([int(np.count_nonzero(b.row == k)) for k in a.col.tolist()], dtype=np.int64)
+    ends = np.cumsum(count)
+    assume(ends[-1])
+    with mock.patch.object(linalg, "_BLOCK_TERMS", block):
+        blocks = linalg._row_blocks(a.row, ends)
+    assert blocks[0][0] == 0 and blocks[-1][1] == a.nnz
+    for (lo, hi), (nxt, _) in zip(blocks, blocks[1:] + [(a.nnz, None)]):
+        assert lo < hi == nxt
+        assert lo == 0 or a.row[lo] != a.row[lo - 1]
+        rows = set(a.row[lo:hi].tolist())
+        assert int(count[lo:hi].sum()) <= block or len(rows) == 1
+
+
+def test_blocked_product_edge_cases():
+    s4, s3 = aux_space(4), aux_space(3)
+    # Row 0 expands 4 terms, past a block of 2: a block of its own, which must sum
+    # its two terms at (0, 0).  Row 1's two terms cancel and row 2 meets no right
+    # row: a block that sums to zero.
+    left = LinearMap.from_entries(
+        s4, s4, [(0, 0, 1, 0), (0, 1, 1, 0), (1, 1, 1, 0), (1, 2, 1, 0), (2, 3, 5, 0), (3, 1, 2, -1)]
+    )
+    right = LinearMap.from_entries(
+        s3, s4, [(0, 0, 1, 0), (0, 1, 2, 0), (0, 2, 3, 0), (1, 0, 1, 1), (2, 0, -1, -1)]
+    )
+    with mock.patch.object(linalg, "_BLOCK_TERMS", 2):
+        counts = [3, 1, 1, 1, 0, 1]
+        assert linalg._row_blocks(left.row, np.cumsum(counts)) == [(0, 2), (2, 5), (5, 6)]
+        product = left @ right
+        # every block cancels or meets nothing: the zero map
+        vanishing = LinearMap.from_entries(s4, s4, [(1, 1, 1, 0), (1, 2, 1, 0), (2, 3, 5, 0)])
+        assert (vanishing @ right).is_zero()
+    assert product.entries() == [(0, 0, 2, 1), (0, 1, 2, 0), (0, 2, 3, 0), (3, 0, 3, 1)]
+    _assert_same_arrays(product, _one_block(left, right))
+
+
+def test_blocked_product_bounds_check_memory(tmp_path):
+    """check on a 1000-leaf star stays below 230 MB; expanding whole products took 273 MB."""
+    star = tmp_path / "star.txt"
+    star.write_text("n=1001\n" + "".join(f"0 {leaf}\n" for leaf in range(1, 1001)), encoding="utf-8")
+    # A child's ru_maxrss includes the peak of the process it was forked from, so a
+    # small launcher forks the command and reports the command's own peak.
+    launch = (
+        "import os, sys\n"
+        "pid = os.fork()\n"
+        "if not pid:\n"
+        "    os.execv(sys.executable, [sys.executable, *sys.argv[1:]])\n"
+        "_, status, usage = os.wait4(pid, 0)\n"
+        "print(usage.ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(os.waitstatus_to_exitcode(status))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", launch, "-m", "susygraph.cli", "check", str(star)],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stderr.split()[-1]) / 1024
+    assert peak_mb < 230, peak_mb
 
 
 # -- kernel basis against a Fraction reference ---------------------------------

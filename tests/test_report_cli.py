@@ -570,6 +570,14 @@ def test_cli_size_limit_only_for_dense_sections(command, expected, monkeypatch, 
     assert main([command, str(GRAPHS / "c3.txt"), "--format", "json"]) == expected
 
 
+def test_huge_tolerance_prints_no_warning():
+    # tol * scale overflows to inf near the float maximum; the bound stays inf, silently.
+    code, out, err = run_cli("report", str(GRAPHS / "c3.txt"), "--tol", "1e308", "--format", "json")
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["meta"]["all_pass"] is True
+
+
 def test_cli_subprocess_round_trip():
     code, out, err = run_cli("report", str(GRAPHS / "tree.txt"), "--format", "json")
     assert code == 0, err

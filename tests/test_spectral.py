@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import susygraph.cycles
+import susygraph.operators
+import susygraph.spectral
 from conftest import connected_graphs, directed_graphs
+from susygraph.cycles import cycle_space_report
 from susygraph.graph import ORIENTED, SYMMETRIC, DirectedGraph, load_edge_list, symmetrize
-from susygraph.linalg import LinearMap, SpaceMismatch, StateVector, aux_space
+from susygraph.linalg import LinearMap, SpaceMismatch, StateVector, aux_space, exact_rank
 from susygraph.operators import build_incidence, build_super_operators, path_graph
 from susygraph.rand import random_graph
 from susygraph.spectral import (
@@ -329,6 +334,35 @@ def test_zero_modes_instances():
     assert sym.index == -3
     for rep in (pair, tree, sym):
         assert rep.verdict
+
+
+def test_repeated_cycle_does_not_span_kernel():
+    # Two triangles sharing vertex 0; the second cycle is replaced by a copy of the first.
+    g = DirectedGraph(5, ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)))
+    inc = build_incidence(g)
+    basis = inc.cycle_basis
+    first = basis.vectors[0]
+    inc.__dict__["cycle_basis"] = replace(basis, vectors=(first, dict(first)))
+    rep = zero_mode_classification(inc)
+    assert rep.counts_match
+    assert not rep.cycles_span_kernel and not rep.verdict
+    assert not cycle_space_report(inc).consistent
+    assert zero_mode_classification(build_incidence(g)).verdict
+
+
+def test_cycle_rank_is_computed_once_per_graph(monkeypatch):
+    ranked = []
+
+    def counting_rank(m):
+        ranked.append(m)
+        return exact_rank(m)
+
+    for module in (susygraph.operators, susygraph.cycles, susygraph.spectral):
+        monkeypatch.setattr(module, "exact_rank", counting_rank)
+    inc = build_incidence(DirectedGraph(5, ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0))))
+    assert zero_mode_classification(inc).verdict
+    assert cycle_space_report(inc).basis_rank == inc.cycle_rank == 2
+    assert sum(m is inc.cycle_matrix for m in ranked) == 1
 
 
 @settings(max_examples=40)
