@@ -92,15 +92,6 @@ class DirectedGraph:
         return {e: k for k, e in enumerate(self.edges)}
 
     @cached_property
-    def undirected_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbors ignoring direction, deduplicated, each tuple sorted."""
-        adj: list[set[int]] = [set() for _ in range(self.num_vertices)]
-        for tail, head in self.edges:
-            adj[tail].add(head)
-            adj[head].add(tail)
-        return tuple(tuple(sorted(s)) for s in adj)
-
-    @cached_property
     def reciprocal_pairs(self) -> tuple[tuple[int, int], ...]:
         """Edge-index pairs (k, r) with k < r that are mutual reverses."""
         pairs = []

@@ -12,23 +12,47 @@ makes equality an array comparison and "is zero" an emptiness test.
 Sums concatenate and products expand term by term; both then sort, add
 up repeated coordinates and drop zeros.  Terms that already arrive in
 strictly increasing coordinate order skip the sort and the sums and only
-drop zeros: a product with a diagonal factor, and a sum of two maps whose
-coordinates do not interleave, which concatenates them in coordinate order.
+drop zeros, as a sum of two maps whose coordinates do not interleave does.
 A product finds each row of its right factor through row pointers (a count
 per row, then a running sum) when the inner dimension is at most the total
 nnz of its operands, and by binary search over the sorted rows past that,
 so no work scales with the dimension alone.
 
-A product expands its terms in blocks of the left factor's rows, never all
-at once: each block holds at most _BLOCK_TERMS terms (a single row with
-more is a block of its own) and is canonicalized on its own.  The blocks
-cover disjoint row ranges in increasing order, so their canonical arrays,
-concatenated, are the canonical product, bit for bit.  Peak memory then
-follows the block and the result rather than the term count: `check` on a
-2000-leaf star peaks at 610 MB, against 923 MB with whole products
-expanded.  A product of at most _BLOCK_TERMS terms is one block and is not
-copied; a cut product pays one copy of its result, which adds about a
-tenth to an in-order product with a diagonal factor.  _BLOCK_TERMS = 2**15 comes from measurement on a 2-vCPU machine
+A product with a diagonal factor, one whose entries all have row == col
+(the grading and its projectors, partial or rectangular ones too),
+expands no terms: it keeps each entry of the other factor whose row (for
+a diagonal on the left) or column (on the right) lies in the diagonal's
+support, in its own order, and multiplies it by the diagonal entry there.
+Gaussian integers have no zero divisors, so the result is canonical as it
+stands and matches the general path bit for bit, dtype included.  The
+diagonal entry is found through a slot array over the inner dimension
+while that is at most the operands' total nnz, else by binary search.  A
+map that is not diagonal is rejected by O(1) tests (more entries than the
+inner dimension, or a first or last entry off the diagonal) before the
+O(nnz) comparison.  On the largest graph of a criterion-1 pass (n = 49,
+m = 1054), chi H went from 2.2 to 0.7 ms and H chi from 4.7 to 0.7 ms.
+
+Otherwise a product expands its terms in blocks of the left factor's rows,
+never all at once: each block holds at most _BLOCK_TERMS terms (a single
+row with more is a block of its own) and is canonicalized on its own.  The
+blocks cover disjoint row ranges in increasing order, so their canonical
+arrays, laid end to end, are the canonical product, bit for bit.  A product
+of at most _BLOCK_TERMS terms is one block and is not copied.  A cut product
+of fewer than _FILL_TERMS terms concatenates its blocks.  A larger one
+copies each block into buffers with room for every term as soon as the
+block is formed, drops it and cuts the buffers to the product in place
+(_filled), so it holds one block and the product, not every block and a
+joined copy: `inc.diff @ inc.diff_adj` on a 2000-leaf star (122 MiB) takes
+a fresh process from 34 to 161 MB, against 281 MB when its blocks are
+concatenated, and `check` there peaks at 445 MB, against 609 MB with
+concatenated blocks and products with a diagonal factor expanded, and
+923 MB with whole products expanded.  Dropping each block as it is joined
+does not lower that peak by itself: the allocator keeps the freed block
+memory.  Below _FILL_TERMS = 2**20 the buffers cost more than they save:
+filling them made H q+ (180784 terms) on the largest graph of a
+criterion-1 pass about a tenth slower, where a product of a million terms
+on a 1000-leaf star ran as fast either way.
+_BLOCK_TERMS = 2**15 comes from measurement on a 2-vCPU machine
 (Python 3.11, numpy 2.4).  Timing every product of a criterion-1 pass at
 2**13 to 2**17, the sizes up to 2**16 tied and ran about a tenth faster
 than whole expansion, and minor page faults per pass fell from 13 to 18
@@ -113,6 +137,11 @@ def _dtype(bound: int):
 _BLOCK_TERMS = 1 << 15
 
 
+# A cut product of at least this many terms is joined by _filled rather than by
+# concatenating its blocks; chosen by measurement (see the module docstring).
+_FILL_TERMS = 1 << 20
+
+
 def _row_blocks(row: np.ndarray, ends: np.ndarray) -> list[tuple[int, int]]:
     """(first, past last) entry of each block of whole rows of a product's left factor.
 
@@ -133,9 +162,115 @@ def _row_blocks(row: np.ndarray, ends: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
+def _filled(blocks: Iterable[tuple], room: int, dtype, domain: Space, codomain: Space) -> "LinearMap":
+    """The map whose canonical arrays are the blocks' laid end to end, one block held at a time.
+
+    Each block is copied into buffers with room for every term of the
+    product, then dropped, and the buffers are cut to the map in place, so no
+    block outlives its copy and the map is not copied again.
+    """
+    row, col = np.empty(room, dtype=np.int64), np.empty(room, dtype=np.int64)
+    # The real parts fill the first half, the imaginary parts the second.
+    value = np.empty(2 * room, dtype=dtype)
+    nnz = 0
+    for r, c, v in blocks:
+        end = nnz + r.size
+        row[nnz:end], col[nnz:end], value[nnz:end], value[room + nnz : room + end] = r, c, v[0], v[1]
+        nnz = end
+    value[nnz : 2 * nnz] = value[room : room + nnz]
+    # Only this function holds the buffers, so they may be resized in place.
+    for array, size in ((row, nnz), (col, nnz), (value, 2 * nnz)):
+        array.resize(size, refcheck=False)
+    return LinearMap(domain, codomain, row, col, value.reshape(2, nnz))
+
+
 def _live_parts(value: np.ndarray) -> list[int]:
     """Which of the real (0) and imaginary (1) parts hold a nonzero component."""
     return [p for p in (0, 1) if np.count_nonzero(value[p])]
+
+
+def _canonical_terms(
+    domain: Space, codomain: Space, row: np.ndarray, col: np.ndarray, value: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort (row, col, value) terms, sum repeated coordinates, drop zeros.
+
+    Terms whose keys already increase strictly skip the sort and the sums.
+    """
+    if not row.size:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, np.zeros((2, 0), dtype=np.int64)
+    if codomain.dim * domain.dim > 1 << 63:
+        raise ValueError(f"{codomain.dim}x{domain.dim} is too many coordinates for int64 keys")
+    key = row * domain.dim + col
+    if (key[1:] > key[:-1]).all():
+        # Already in order without repeats: only zeros can be out of place.
+        keep = (value != 0).any(axis=0)
+        if not keep.all():
+            row, col, value = row[keep], col[keep], value.compress(keep, axis=1)
+        return row, col, value
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    summed = np.zeros((2, first.size), dtype=value.dtype)
+    for p in _live_parts(value):
+        summed[p] = np.add.reduceat(value[p].take(order), first)
+    keep = (summed != 0).any(axis=0)
+    row, col = np.divmod(key[first[keep]], domain.dim)
+    return row, col, summed.compress(keep, axis=1)
+
+
+def _gaussian_product(x: np.ndarray, a: np.ndarray, y: np.ndarray, b: np.ndarray | None, parts) -> np.ndarray:
+    """The Gaussian-integer products x[:, a] * y[:, b], entry by entry, as (2, a.size) in x's dtype.
+
+    b = None takes y's entries as they stand; parts holds the live parts
+    (0 real, 1 imaginary) of x and of y, and a part missing there is zero.
+    """
+    value = np.zeros((2, a.size), dtype=x.dtype)
+    # x[p] * y[q] adds to part p + q, except that i * i = -1 subtracts from part 0.
+    for p in parts[0]:
+        xa = x[p].take(a)
+        for q in parts[1]:
+            yb = y[q] if b is None else y[q].take(b)
+            if p and q:
+                value[0] -= xa * yb
+            else:
+                value[p + q] += xa * yb
+    return value
+
+
+def _times_diagonal(diag: "LinearMap", m: "LinearMap", dtype, left: bool) -> "LinearMap":
+    """diag @ m if left, else m @ diag, for a diagonal map diag: no terms are expanded.
+
+    Each entry of m whose row (if left, else column) lies in diag's support
+    is kept, in m's order, times diag's entry there.  Gaussian integers have
+    no zero divisors and m no coordinate repeats, so the result is canonical
+    as it stands.  diag's entry for an index of the inner dimension is found
+    by a slot array over that dimension when it is at most nnz(diag) + nnz(m),
+    else by binary search over diag's rows; a full diagonal holds index k at
+    position k.
+    """
+    if left:
+        key, inner, domain, codomain = m.row, m.codomain.dim, m.domain, diag.codomain
+    else:
+        key, inner, domain, codomain = m.col, m.domain.dim, diag.domain, m.codomain
+    row, col, v = m.row, m.col, m.value.astype(dtype, copy=False)
+    if diag.nnz < inner:
+        if inner <= diag.nnz + m.nnz:
+            slot = np.full(inner, -1, dtype=np.int64)
+            slot[diag.row] = np.arange(diag.nnz)
+            key = slot[key]
+            keep = key >= 0
+        else:
+            found = np.searchsorted(diag.row, key)
+            keep = diag.row.take(found, mode="clip") == key
+            key = found
+        if not keep.all():
+            if not keep.any():
+                return LinearMap.zero(domain, codomain)
+            row, col, key, v = row[keep], col[keep], key[keep], v.compress(keep, axis=1)
+    d = diag.value.astype(dtype, copy=False)
+    value = _gaussian_product(d, key, v, None, (_live_parts(d), _live_parts(v)))
+    return LinearMap(domain, codomain, row, col, value)
 
 
 class LinearMap:
@@ -149,14 +284,16 @@ class LinearMap:
     otherwise; each operation bounds its result before computing it and
     picks the dtype from that bound, so int64 arithmetic never wraps.
 
-    A product indexes the rows of its right factor by row pointers when the
-    inner dimension is at most nnz(self) + nnz(other), else by binary
-    search.  It expands at most _BLOCK_TERMS terms at once, in blocks of
-    whole rows of self, and joins the blocks' canonical arrays; a product
-    of at most that many terms is one block and is not copied.  Terms that
-    arrive strictly increasing in (row, col), from a diagonal factor or a
-    sum of non-interleaving maps, are kept in place without a sort, with
-    only their zeros dropped.
+    A product with a diagonal factor multiplies the other factor's entries
+    in place and expands no terms.  Any other product indexes the rows of
+    its right factor by row pointers when the inner dimension is at most
+    nnz(self) + nnz(other), else by binary search.  It expands at most
+    _BLOCK_TERMS terms at once, in blocks of whole rows of self, and joins
+    the blocks' canonical arrays, copying each into place as it is formed
+    once the product has _FILL_TERMS terms; a product of at most
+    _BLOCK_TERMS terms is one block and is not copied.  Terms that arrive
+    strictly increasing in (row, col), as from a sum of non-interleaving
+    maps, are kept in place without a sort, with only their zeros dropped.
 
     Instances are immutable: the arrays are read-only, and every operation
     returns a fresh map.  Equality is exact and entrywise.
@@ -182,30 +319,8 @@ class LinearMap:
     def _canonical(
         cls, domain: Space, codomain: Space, row: np.ndarray, col: np.ndarray, value: np.ndarray
     ) -> "LinearMap":
-        """Sort (row, col, value) terms, sum repeated coordinates, drop zeros.
-
-        Terms whose keys already increase strictly skip the sort and the sums.
-        """
-        if not row.size:
-            return cls.zero(domain, codomain)
-        if codomain.dim * domain.dim > 1 << 63:
-            raise ValueError(f"{codomain.dim}x{domain.dim} is too many coordinates for int64 keys")
-        key = row * domain.dim + col
-        if (key[1:] > key[:-1]).all():
-            # Already in order without repeats: only zeros can be out of place.
-            keep = (value != 0).any(axis=0)
-            if not keep.all():
-                row, col, value = row[keep], col[keep], value.compress(keep, axis=1)
-            return cls(domain, codomain, row, col, value)
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        summed = np.zeros((2, first.size), dtype=value.dtype)
-        for p in _live_parts(value):
-            summed[p] = np.add.reduceat(value[p].take(order), first)
-        keep = (summed != 0).any(axis=0)
-        row, col = np.divmod(key[first[keep]], domain.dim)
-        return cls(domain, codomain, row, col, summed.compress(keep, axis=1))
+        """The map of (row, col, value) terms in any order, repeats summed, zeros dropped."""
+        return cls(domain, codomain, *_canonical_terms(domain, codomain, row, col, value))
 
     @classmethod
     def from_entries(
@@ -342,10 +457,14 @@ class LinearMap:
         # a bound on the largest row nnz of self, each with two terms per part.
         terms = min(self.nnz, self.domain.dim)
         dtype = _dtype(self.max_abs() * other.max_abs() * terms * 2)
+        inner = self.domain.dim
+        if self._is_diagonal(inner):
+            return _times_diagonal(self, other, dtype, left=True)
+        if other._is_diagonal(inner):
+            return _times_diagonal(other, self, dtype, left=False)
         # Pair every entry (i, k) of self with each entry (k, j) of other's row k,
         # the count entries from start.  Row pointers cost O(inner dimension), so
         # past the operands' size a binary search over other.row finds the rows.
-        inner = self.domain.dim
         if inner <= self.nnz + other.nnz:
             per_row = np.bincount(other.row, minlength=inner)
             start = (np.cumsum(per_row) - per_row)[self.col]
@@ -358,23 +477,38 @@ class LinearMap:
         y = other.value.astype(dtype, copy=False)
         parts = (_live_parts(x), _live_parts(y))
         if ends[-1] <= _BLOCK_TERMS:
-            return self._product_rows(other, x, y, parts, start, count, ends, 0)
-        blocks = []
-        for lo, hi in _row_blocks(self.row, ends):
-            done = ends[lo] - count[lo]
-            block_ends = ends[lo:hi] - done
-            blocks.append(
-                self._product_rows(other, x, y, parts, start[lo:hi], count[lo:hi], block_ends, lo)
+            terms = self._product_rows(other, x, y, parts, start, count, ends, 0)
+            return LinearMap(other.domain, self.codomain, *terms)
+        # The blocks hold disjoint row ranges in increasing order, so their canonical
+        # arrays laid end to end are the canonical product.
+        blocks = (
+            self._product_rows(
+                other, x, y, parts, start[lo:hi], count[lo:hi], ends[lo:hi] - ends[lo] + count[lo], lo
             )
-        # The blocks hold disjoint row ranges in increasing order: joined, they are canonical.
-        row, col, value = (
-            np.concatenate(arrays, axis=-1)
-            for arrays in zip(*((m.row, m.col, m.value) for m in blocks))
+            for lo, hi in _row_blocks(self.row, ends)
         )
+        if ends[-1] >= _FILL_TERMS:
+            return _filled(blocks, int(ends[-1]), x.dtype, other.domain, self.codomain)
+        rows, cols, values = zip(*blocks)
+        row, col, value = np.concatenate(rows), np.concatenate(cols), np.concatenate(values, axis=1)
         return LinearMap(other.domain, self.codomain, row, col, value)
 
-    def _product_rows(self, other, x, y, parts, start, count, ends, lo: int) -> "LinearMap":
-        """The canonical product with other of self's entries from lo, whole rows.
+    def _is_diagonal(self, inner: int) -> bool:
+        """Whether every entry of this nonzero map has row == col.
+
+        O(1) tests reject most maps before the O(nnz) comparison: a diagonal
+        map has at most one entry per index of the inner dimension, and its
+        first and last entries lie on the diagonal.
+        """
+        return bool(
+            self.nnz <= inner
+            and self.row[0] == self.col[0]
+            and self.row[-1] == self.col[-1]
+            and np.array_equal(self.row, self.col)
+        )
+
+    def _product_rows(self, other, x, y, parts, start, count, ends, lo: int):
+        """The canonical (row, col, value) arrays of self's entries from lo, whole rows, times other.
 
         count[e] terms pair self's entry lo + e with other's entries from
         start[e]; ends is the running sum of count.  x and y are the two
@@ -382,16 +516,8 @@ class LinearMap:
         """
         a = np.repeat(np.arange(lo, lo + count.size), count)
         b = np.arange(ends[-1]) + np.repeat(start - (ends - count), count)
-        value = np.zeros((2, a.size), dtype=x.dtype)
-        # x[p] * y[q] adds to part p + q, except that i * i = -1 subtracts from part 0.
-        for p in parts[0]:
-            xa = x[p].take(a)
-            for q in parts[1]:
-                if p and q:
-                    value[0] -= xa * y[q].take(b)
-                else:
-                    value[p + q] += xa * y[q].take(b)
-        return LinearMap._canonical(other.domain, self.codomain, self.row[a], other.col[b], value)
+        value = _gaussian_product(x, a, y, b, parts)
+        return _canonical_terms(other.domain, self.codomain, self.row[a], other.col[b], value)
 
     def adjoint(self) -> "LinearMap":
         """Conjugate transpose."""

@@ -14,8 +14,11 @@ is true exactly when every other boolean is.
 from __future__ import annotations
 
 import hashlib
-import json
+import math
 import random
+from itertools import chain, starmap
+from json.encoder import encode_basestring_ascii
+from typing import Iterable
 
 import numpy as np
 
@@ -279,7 +282,70 @@ def _collect_false(container, path: tuple, out: list[str]) -> None:
 
 
 def serialize_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """The bytes of json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + newline.
+
+    CPython's C encoder does not indent, so json.dumps with indent writes
+    every byte in Python.  This writer nests containers the same way and
+    writes the long lists a report holds, of floats, of ints or of
+    [int, int] pairs, with C-level joins.  NaN and infinity raise
+    ValueError; dict keys must be strings.
+    """
+    return _json(report, "") + "\n"
+
+
+def _json(obj, indent: str) -> str:
+    """obj as json.dumps with sort_keys and indent=2 writes it, nested at indent."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{_json_key(k)}: {_json(v, inner)}" for k, v in sorted(obj.items()))
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return f"[\n{inner}" + f",\n{inner}".join(_json_items(obj, inner)) + f"\n{indent}]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _json_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _json_items(values, inner: str) -> Iterable[str]:
+    """The entries of a non-empty list, each written at inner."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        if all(map(math.isfinite, values)):
+            return map(float.__repr__, values)
+        return map(_json_float, values)
+    if kinds == {int}:
+        return map(int.__repr__, values)
+    pairs = kinds == {list} and set(map(len, values)) == {2}
+    if pairs and set(map(type, chain.from_iterable(values))) == {int}:
+        deeper = inner + "  "
+        return starmap(f"[\n{deeper}{{}},\n{deeper}{{}}\n{inner}]".format, values)
+    return (_json(v, inner) for v in values)
 
 
 def _text_lines(prefix: str, obj, out: list[str]) -> None:

@@ -36,6 +36,10 @@ def cycle_vector_as_map(basis: CycleBasis, j: int) -> LinearMap:
 
 def reference_components(graph: DirectedGraph) -> list[list[int]]:
     """Weak components by a BFS of their own, each sorted, ordered by least vertex."""
+    neighbors: list[set[int]] = [set() for _ in range(graph.num_vertices)]
+    for tail, head in graph.edges:
+        neighbors[tail].add(head)
+        neighbors[head].add(tail)
     seen = [False] * graph.num_vertices
     comps = []
     for start in range(graph.num_vertices):
@@ -46,7 +50,7 @@ def reference_components(graph: DirectedGraph) -> list[list[int]]:
         while queue:
             v = queue.popleft()
             comp.append(v)
-            for w in graph.undirected_neighbors[v]:
+            for w in sorted(neighbors[v]):
                 if not seen[w]:
                     seen[w] = True
                     queue.append(w)

@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from susygraph import linalg
+from susygraph.cli import main
 from susygraph.graph import DirectedGraph
 from susygraph.linalg import (
     LinearMap,
@@ -562,9 +563,10 @@ near_int64_limit = st.one_of(
 @given(
     st.sampled_from(["real", "complex", "wide"]),
     st.integers(1, 5),
+    st.sampled_from([0, 1 << 62]),
     st.data(),
 )
-def test_blocked_products_match_one_block_and_python_ints(kind, block, data):
+def test_blocked_products_match_one_block_and_python_ints(kind, block, fill, data):
     values = {"real": st.integers(-3, 3), "complex": st.integers(-3, 3), "wide": near_int64_limit}
     a, b = data.draw(composable_pairs(max_dim=4, values=values[kind]))
     if kind == "real":
@@ -572,7 +574,8 @@ def test_blocked_products_match_one_block_and_python_ints(kind, block, data):
             LinearMap.from_entries(m.domain, m.codomain, [(r, c, re, 0) for r, c, re, _ in m.entries()])
             for m in (a, b)
         )
-    with mock.patch.object(linalg, "_BLOCK_TERMS", block):
+    # fill = 0 joins every cut product in place, 1 << 62 concatenates its blocks.
+    with mock.patch.object(linalg, "_BLOCK_TERMS", block), mock.patch.object(linalg, "_FILL_TERMS", fill):
         product = a @ b
     _assert_same_arrays(product, _one_block(a, b))
     assert {(r, c): (re, im) for r, c, re, im in product.entries()} == _python_product(a, b)
@@ -607,15 +610,16 @@ def test_blocked_product_edge_cases():
     right = LinearMap.from_entries(
         s3, s4, [(0, 0, 1, 0), (0, 1, 2, 0), (0, 2, 3, 0), (1, 0, 1, 1), (2, 0, -1, -1)]
     )
-    with mock.patch.object(linalg, "_BLOCK_TERMS", 2):
-        counts = [3, 1, 1, 1, 0, 1]
-        assert linalg._row_blocks(left.row, np.cumsum(counts)) == [(0, 2), (2, 5), (5, 6)]
-        product = left @ right
-        # every block cancels or meets nothing: the zero map
-        vanishing = LinearMap.from_entries(s4, s4, [(1, 1, 1, 0), (1, 2, 1, 0), (2, 3, 5, 0)])
-        assert (vanishing @ right).is_zero()
-    assert product.entries() == [(0, 0, 2, 1), (0, 1, 2, 0), (0, 2, 3, 0), (3, 0, 3, 1)]
-    _assert_same_arrays(product, _one_block(left, right))
+    for fill in (0, 1 << 62):
+        with mock.patch.object(linalg, "_BLOCK_TERMS", 2), mock.patch.object(linalg, "_FILL_TERMS", fill):
+            counts = [3, 1, 1, 1, 0, 1]
+            assert linalg._row_blocks(left.row, np.cumsum(counts)) == [(0, 2), (2, 5), (5, 6)]
+            product = left @ right
+            # every block cancels or meets nothing: the zero map
+            vanishing = LinearMap.from_entries(s4, s4, [(1, 1, 1, 0), (1, 2, 1, 0), (2, 3, 5, 0)])
+            assert (vanishing @ right).is_zero()
+        assert product.entries() == [(0, 0, 2, 1), (0, 1, 2, 0), (0, 2, 3, 0), (3, 0, 3, 1)]
+        _assert_same_arrays(product, _one_block(left, right))
 
 
 def test_blocked_product_bounds_check_memory(tmp_path):
@@ -644,6 +648,98 @@ def test_blocked_product_bounds_check_memory(tmp_path):
     assert proc.returncode == 0, proc.stderr
     peak_mb = int(proc.stderr.split()[-1]) / 1024
     assert peak_mb < 230, peak_mb
+
+
+# -- products with a diagonal factor -------------------------------------------
+#
+# A product whose left or right factor has every entry on the diagonal keeps the
+# other factor's entries in place and multiplies them, expanding no terms.  It
+# must give the general path's map bit for bit, dtypes included.
+
+
+def _general_product(a, b):
+    with mock.patch.object(LinearMap, "_is_diagonal", lambda self, inner: False):
+        return a @ b
+
+
+@st.composite
+def diagonal_maps(draw, rows, cols, values):
+    """A rows x cols map with entries on the diagonal only: full, partial or empty support."""
+    index = range(min(rows, cols))
+    support = draw(st.sampled_from(["full", "partial", "empty"]))
+    if support == "partial":
+        index = sorted(draw(st.sets(st.sampled_from(index))))
+    elif support == "empty":
+        index = []
+    entries = [(i, i, *draw(st.tuples(values, values).filter(any))) for i in index]
+    return LinearMap.from_entries(aux_space(cols), aux_space(rows), entries)
+
+
+@st.composite
+def sparse_maps(draw, rows, cols, values):
+    entry = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), values, values)
+    return LinearMap.from_entries(aux_space(cols), aux_space(rows), draw(st.lists(entry, max_size=8)))
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from(["left", "right", "both"]),
+    st.sampled_from(["real", "gaussian", "wide"]),
+    st.data(),
+)
+def test_diagonal_products_match_the_general_path(side, kind, data):
+    values = {"real": st.integers(-3, 3), "gaussian": st.integers(-3, 3), "wide": near_int64_limit}[kind]
+    # Dimensions up to 12 against at most 8 entries a factor reach both the slot
+    # array and the binary search for the diagonal's entries.
+    a, b, c = (data.draw(st.integers(1, 12)) for _ in range(3))
+    left = data.draw(diagonal_maps(a, b, values) if side != "right" else sparse_maps(a, b, values))
+    right = data.draw(diagonal_maps(b, c, values) if side != "left" else sparse_maps(b, c, values))
+    if kind == "real":
+        left, right = (
+            LinearMap.from_entries(m.domain, m.codomain, [(r, col, re, 0) for r, col, re, _ in m.entries()])
+            for m in (left, right)
+        )
+    product = left @ right
+    _assert_same_arrays(product, _general_product(left, right))
+    assert {(r, col): (re, im) for r, col, re, im in product.entries()} == _python_product(left, right)
+    assert _is_canonical(product)
+    if not product.is_zero():
+        bound = left.max_abs() * right.max_abs() * min(left.nnz, b) * 2
+        assert product.value.dtype == linalg._dtype(bound)
+
+
+def test_diagonal_product_edge_cases():
+    s = aux_space(3)
+    # first and last entries on the diagonal, the middle one off it
+    m = LinearMap.from_entries(s, s, [(0, 0, 2, 0), (1, 2, 3, 1), (2, 2, -1, 0)])
+    x = LinearMap.from_entries(s, s, [(0, 1, 1, 0), (2, 0, 1, 1), (2, 2, 4, 0)])
+    assert not m._is_diagonal(3)
+    for product, (a, b) in ((m @ x, (m, x)), (x @ m, (x, m))):
+        assert {(r, c): (re, im) for r, c, re, im in product.entries()} == _python_product(a, b)
+    # more entries than the inner dimension: rejected before any entry is read
+    assert not LinearMap.identity(aux_space(4))._is_diagonal(3)
+    # disjoint supports past int64: the zero map, with the general path's int64 arrays
+    wide = LinearMap.from_entries(s, s, [(1, 1, 2**62, 0)])
+    off = LinearMap.from_entries(s, s, [(0, 2, 1, 0), (2, 0, 3, 1)])
+    for a, b in ((wide, off), (off, wide)):
+        assert (a @ b).is_zero()
+        _assert_same_arrays(a @ b, _general_product(a, b))
+
+
+def test_check_expands_no_product_with_a_diagonal_factor(monkeypatch, capsys):
+    expanded = []
+    product_rows = LinearMap._product_rows
+
+    def counting(self, other, *args):
+        expanded.append((self, other))
+        return product_rows(self, other, *args)
+
+    monkeypatch.setattr(LinearMap, "_product_rows", counting)
+    graph = os.path.join(os.path.dirname(__file__), "..", "graphs", "c3.txt")
+    assert main(["check", graph]) == 0
+    capsys.readouterr()
+    assert expanded
+    assert not [pair for pair in expanded if any(np.array_equal(m.row, m.col) for m in pair)]
 
 
 # -- kernel basis against a Fraction reference ---------------------------------

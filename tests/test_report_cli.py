@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -18,7 +19,14 @@ import susygraph.operators
 import susygraph.report
 from susygraph.cli import edge_laplacian_bound, main
 from susygraph.cycles import fundamental_cycle_basis
-from susygraph.graph import DirectedGraph, format_edge_list, parse_edge_list, spanning_forest
+from susygraph.graph import (
+    ORIENTED,
+    SYMMETRIC,
+    DirectedGraph,
+    format_edge_list,
+    parse_edge_list,
+    spanning_forest,
+)
 from susygraph.linalg import LinearMap, exact_kernel_basis, exact_rank
 from susygraph.operators import (
     adjacency_direct,
@@ -30,6 +38,7 @@ from susygraph.operators import (
     laplacian_direct,
     path_graph,
 )
+from susygraph.rand import random_graph
 from susygraph.report import (
     _stencil_selftest,
     build_report,
@@ -322,10 +331,53 @@ def test_cli_rejects_non_finite_tolerance(tol, capsys):
 
 
 def test_serialize_json_refuses_nan():
-    rep = build_report(C3)
-    rep["meta"]["tolerance"] = float("nan")
-    with pytest.raises(ValueError):
-        serialize_json(rep)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        rep = build_report(C3)
+        rep["meta"]["tolerance"] = bad
+        with pytest.raises(ValueError):
+            serialize_json(rep)
+        rep = build_report(C3)
+        rep["spectra"]["q1"][1] = bad  # an entry of a list of floats
+        with pytest.raises(ValueError):
+            serialize_json(rep)
+
+
+def _json_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+JSON_SHAPES = [
+    {},
+    [],
+    None,
+    {"empty list": [], "empty dict": {}, "none": None},
+    [True, 1, False, 0],
+    [[1, True], [False, 0]],
+    2**70,
+    [2**70, -(2**70), 0],
+    [-0.0, 1e16, 1e-300, 0.1, -2.5],
+    [1, 2.5],
+    {"\u00e9t\u00e9": [1.5, 2], "snow \u2603": "\u2603\n\"q\"", "b": {"a": -0.0}},
+    [[1, 2], [3, -4], [2**70, 0]],
+    [[1, 2, 3]],
+    [[1, 2.0]],
+    [[[0, 1], [2, -1]], [], [[5, 1]]],
+    ([1, 2], (3, 4)),
+]
+
+
+def test_serialize_json_matches_json_dumps():
+    golden = Path(__file__).resolve().parent / "golden"
+    reports = [json.loads((golden / f"{name}_report.json").read_text()) for name in ("c3", "tree")]
+    for path in sorted(GRAPHS.glob("*.txt")):
+        graph = parse_edge_list(path.read_text(encoding="utf-8"))
+        reports.extend(build_report(graph, sections=sections) for sections in susygraph.cli.SECTIONS.values())
+    rng = random.Random(18)
+    for i in range(8):
+        mode = ORIENTED if i % 2 else SYMMETRIC
+        reports.append(build_report(random_graph(rng, rng.randint(2, 14), rng.uniform(0.1, 0.6), mode)))
+    for obj in reports + JSON_SHAPES:
+        assert serialize_json(obj) == _json_dumps(obj)
 
 
 def test_small_eigenvalue_within_tol_is_not_a_zero_mode(tmp_path, capsys):

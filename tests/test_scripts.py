@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -196,3 +197,36 @@ def test_survey_builds_each_graph_once(monkeypatch):
     # each report also builds the 50-vertex path of its stencil self-test;
     # pairing: the two Laplacians and H; dirac: q1 and q2, sharing H's spectrum
     assert calls == {"build_incidence": 3 + 3, "build_super_operators": 3, "eigvalsh": 3 * 5}
+
+
+def run_compare_outputs(other, *args):
+    return subprocess.run(
+        [sys.executable, "scripts/compare_outputs.py", str(other), *args],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_compare_outputs_finds_this_checkout_identical_to_itself():
+    proc = run_compare_outputs(ROOT, "--graphs", "3", "--seed", "4")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "180 of 180 cases identical"
+
+
+def test_compare_outputs_names_the_cases_a_changed_writer_breaks(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    report = tmp_path / "src" / "susygraph" / "report.py"
+    text = report.read_text(encoding="utf-8")
+    # One byte of serialize_json: its closing newline becomes a space.
+    changed = text.replace('return _json(report, "") + "\\n"', 'return _json(report, "") + " "')
+    assert len(changed) == len(text) - 1
+    report.write_text(changed, encoding="utf-8")
+    proc = run_compare_outputs(tmp_path, "--graphs", "0")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    differing = [line for line in proc.stdout.splitlines() if line.startswith("differs: ")]
+    assert "differs: report c3.txt --format json --tol 1e-8 (stdout)" in differing
+    # every json case differs, and no text case
+    assert len(differing) == 6 * 5 * 2
+    assert not [line for line in differing if "--format text" in line]
