@@ -37,21 +37,15 @@ never all at once: each block holds at most _BLOCK_TERMS terms (a single
 row with more is a block of its own) and is canonicalized on its own.  The
 blocks cover disjoint row ranges in increasing order, so their canonical
 arrays, laid end to end, are the canonical product, bit for bit.  A product
-of at most _BLOCK_TERMS terms is one block and is not copied.  A cut product
-of fewer than _FILL_TERMS terms concatenates its blocks.  A larger one
-copies each block into buffers with room for every term as soon as the
-block is formed, drops it and cuts the buffers to the product in place
-(_filled), so it holds one block and the product, not every block and a
-joined copy: `inc.diff @ inc.diff_adj` on a 2000-leaf star (122 MiB) takes
-a fresh process from 34 to 161 MB, against 281 MB when its blocks are
-concatenated, and `check` there peaks at 445 MB, against 609 MB with
-concatenated blocks and products with a diagonal factor expanded, and
-923 MB with whole products expanded.  Dropping each block as it is joined
-does not lower that peak by itself: the allocator keeps the freed block
-memory.  Below _FILL_TERMS = 2**20 the buffers cost more than they save:
-filling them made H q+ (180784 terms) on the largest graph of a
-criterion-1 pass about a tenth slower, where a product of a million terms
-on a 1000-leaf star ran as fast either way.
+of at most _BLOCK_TERMS terms is one block and is not copied; a cut one
+concatenates its blocks.  The peak then follows the blocks and the result
+rather than the term count: `check` on a 2000-leaf star peaks at 559 MB,
+against 923 MB with whole products expanded (609 MB with products by a
+diagonal factor expanded in blocks).  Joining still holds every block and
+the joined copy at once: `inc.diff @ inc.diff_adj` there (122 MiB) takes a
+fresh process from 34 to 281 MB.  Joining the rows, columns and values in
+turn, dropping each kind's blocks, leaves that peak at 280 MB, since the
+allocator keeps the freed block memory.
 _BLOCK_TERMS = 2**15 comes from measurement on a 2-vCPU machine
 (Python 3.11, numpy 2.4).  Timing every product of a criterion-1 pass at
 2**13 to 2**17, the sizes up to 2**16 tied and ran about a tenth faster
@@ -137,11 +131,6 @@ def _dtype(bound: int):
 _BLOCK_TERMS = 1 << 15
 
 
-# A cut product of at least this many terms is joined by _filled rather than by
-# concatenating its blocks; chosen by measurement (see the module docstring).
-_FILL_TERMS = 1 << 20
-
-
 def _row_blocks(row: np.ndarray, ends: np.ndarray) -> list[tuple[int, int]]:
     """(first, past last) entry of each block of whole rows of a product's left factor.
 
@@ -160,28 +149,6 @@ def _row_blocks(row: np.ndarray, ends: np.ndarray) -> list[tuple[int, int]]:
         i = max(int(np.searchsorted(before, done + _BLOCK_TERMS, "right")) - 1, i + 1)
         bounds.append(int(cuts[i]))
     return list(zip(bounds, bounds[1:]))
-
-
-def _filled(blocks: Iterable[tuple], room: int, dtype, domain: Space, codomain: Space) -> "LinearMap":
-    """The map whose canonical arrays are the blocks' laid end to end, one block held at a time.
-
-    Each block is copied into buffers with room for every term of the
-    product, then dropped, and the buffers are cut to the map in place, so no
-    block outlives its copy and the map is not copied again.
-    """
-    row, col = np.empty(room, dtype=np.int64), np.empty(room, dtype=np.int64)
-    # The real parts fill the first half, the imaginary parts the second.
-    value = np.empty(2 * room, dtype=dtype)
-    nnz = 0
-    for r, c, v in blocks:
-        end = nnz + r.size
-        row[nnz:end], col[nnz:end], value[nnz:end], value[room + nnz : room + end] = r, c, v[0], v[1]
-        nnz = end
-    value[nnz : 2 * nnz] = value[room : room + nnz]
-    # Only this function holds the buffers, so they may be resized in place.
-    for array, size in ((row, nnz), (col, nnz), (value, 2 * nnz)):
-        array.resize(size, refcheck=False)
-    return LinearMap(domain, codomain, row, col, value.reshape(2, nnz))
 
 
 def _live_parts(value: np.ndarray) -> list[int]:
@@ -288,9 +255,8 @@ class LinearMap:
     in place and expands no terms.  Any other product indexes the rows of
     its right factor by row pointers when the inner dimension is at most
     nnz(self) + nnz(other), else by binary search.  It expands at most
-    _BLOCK_TERMS terms at once, in blocks of whole rows of self, and joins
-    the blocks' canonical arrays, copying each into place as it is formed
-    once the product has _FILL_TERMS terms; a product of at most
+    _BLOCK_TERMS terms at once, in blocks of whole rows of self, and
+    concatenates the blocks' canonical arrays; a product of at most
     _BLOCK_TERMS terms is one block and is not copied.  Terms that arrive
     strictly increasing in (row, col), as from a sum of non-interleaving
     maps, are kept in place without a sort, with only their zeros dropped.
@@ -487,8 +453,6 @@ class LinearMap:
             )
             for lo, hi in _row_blocks(self.row, ends)
         )
-        if ends[-1] >= _FILL_TERMS:
-            return _filled(blocks, int(ends[-1]), x.dtype, other.domain, self.codomain)
         rows, cols, values = zip(*blocks)
         row, col, value = np.concatenate(rows), np.concatenate(cols), np.concatenate(values, axis=1)
         return LinearMap(other.domain, self.codomain, row, col, value)

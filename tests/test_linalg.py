@@ -563,10 +563,9 @@ near_int64_limit = st.one_of(
 @given(
     st.sampled_from(["real", "complex", "wide"]),
     st.integers(1, 5),
-    st.sampled_from([0, 1 << 62]),
     st.data(),
 )
-def test_blocked_products_match_one_block_and_python_ints(kind, block, fill, data):
+def test_blocked_products_match_one_block_and_python_ints(kind, block, data):
     values = {"real": st.integers(-3, 3), "complex": st.integers(-3, 3), "wide": near_int64_limit}
     a, b = data.draw(composable_pairs(max_dim=4, values=values[kind]))
     if kind == "real":
@@ -574,8 +573,7 @@ def test_blocked_products_match_one_block_and_python_ints(kind, block, fill, dat
             LinearMap.from_entries(m.domain, m.codomain, [(r, c, re, 0) for r, c, re, _ in m.entries()])
             for m in (a, b)
         )
-    # fill = 0 joins every cut product in place, 1 << 62 concatenates its blocks.
-    with mock.patch.object(linalg, "_BLOCK_TERMS", block), mock.patch.object(linalg, "_FILL_TERMS", fill):
+    with mock.patch.object(linalg, "_BLOCK_TERMS", block):
         product = a @ b
     _assert_same_arrays(product, _one_block(a, b))
     assert {(r, c): (re, im) for r, c, re, im in product.entries()} == _python_product(a, b)
@@ -610,16 +608,15 @@ def test_blocked_product_edge_cases():
     right = LinearMap.from_entries(
         s3, s4, [(0, 0, 1, 0), (0, 1, 2, 0), (0, 2, 3, 0), (1, 0, 1, 1), (2, 0, -1, -1)]
     )
-    for fill in (0, 1 << 62):
-        with mock.patch.object(linalg, "_BLOCK_TERMS", 2), mock.patch.object(linalg, "_FILL_TERMS", fill):
-            counts = [3, 1, 1, 1, 0, 1]
-            assert linalg._row_blocks(left.row, np.cumsum(counts)) == [(0, 2), (2, 5), (5, 6)]
-            product = left @ right
-            # every block cancels or meets nothing: the zero map
-            vanishing = LinearMap.from_entries(s4, s4, [(1, 1, 1, 0), (1, 2, 1, 0), (2, 3, 5, 0)])
-            assert (vanishing @ right).is_zero()
-        assert product.entries() == [(0, 0, 2, 1), (0, 1, 2, 0), (0, 2, 3, 0), (3, 0, 3, 1)]
-        _assert_same_arrays(product, _one_block(left, right))
+    with mock.patch.object(linalg, "_BLOCK_TERMS", 2):
+        counts = [3, 1, 1, 1, 0, 1]
+        assert linalg._row_blocks(left.row, np.cumsum(counts)) == [(0, 2), (2, 5), (5, 6)]
+        product = left @ right
+        # every block cancels or meets nothing: the zero map
+        vanishing = LinearMap.from_entries(s4, s4, [(1, 1, 1, 0), (1, 2, 1, 0), (2, 3, 5, 0)])
+        assert (vanishing @ right).is_zero()
+    assert product.entries() == [(0, 0, 2, 1), (0, 1, 2, 0), (0, 2, 3, 0), (3, 0, 3, 1)]
+    _assert_same_arrays(product, _one_block(left, right))
 
 
 def test_blocked_product_bounds_check_memory(tmp_path):
