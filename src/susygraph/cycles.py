@@ -131,15 +131,14 @@ class CycleSpaceReport:
 def cycle_space_report(inc: IncidenceOperators) -> CycleSpaceReport:
     """Check the fundamental cycle basis of inc.graph against exact kernel data.
 
-    The cycle basis, its stacked map and rank, and the exact rank of the
-    difference operator are inc's own, so they are shared with every other
-    analysis handed inc.
+    The cycle basis, its stacked map, closure and rank, and the exact rank
+    of the difference operator are inc's own, so they are shared with every
+    other analysis handed inc.
     """
     graph = inc.graph
     basis = inc.cycle_basis
     forest = basis.forest
     expected = graph.num_edges - graph.num_vertices + len(forest.components)
-    closure = inc.diff_adj @ inc.cycle_matrix
     diff_rank = inc.rank
     kernel_dim = graph.num_edges - diff_rank
     # the tree rows of d, a row subset of a canonical map and so canonical itself
@@ -155,7 +154,7 @@ def cycle_space_report(inc: IncidenceOperators) -> CycleSpaceReport:
     return CycleSpaceReport(
         basis=basis,
         expected_dimension=expected,
-        closure_residual=closure.max_abs(),
+        closure_residual=inc.cycle_closure.max_abs(),
         basis_rank=inc.cycle_rank,
         kernel_dimension=kernel_dim,
         num_components=len(forest.components),

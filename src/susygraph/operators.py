@@ -65,8 +65,13 @@ class IncidenceOperators:
 
     @cached_property
     def ker_diff(self) -> tuple[dict[int, int], ...]:
-        """Exact integer basis of the kernel of diff (component indicators)."""
-        return tuple(exact_kernel_basis(self.diff))
+        """The component indicators, read off the spanning forest, as exact_kernel_basis(diff).
+
+        That is, ordered by each component's largest vertex (the free column)
+        and keyed by it first, then by the other vertices ascending.
+        """
+        components = sorted(self.graph.spanning_forest.components, key=lambda comp: comp[-1])
+        return tuple(dict.fromkeys((comp[-1], *comp[:-1]), 1) for comp in components)
 
     @cached_property
     def ker_diff_adj(self) -> tuple[dict[int, int], ...]:
@@ -84,6 +89,11 @@ class IncidenceOperators:
     def cycle_matrix(self) -> LinearMap:
         """The cycle basis vectors stacked as the columns of a map into edge functions."""
         return stack_columns(list(self.cycle_basis.vectors), self.edge)
+
+    @cached_property
+    def cycle_closure(self) -> LinearMap:
+        """diff_adj applied to cycle_matrix: zero exactly when every basis vector is a cycle."""
+        return self.diff_adj @ self.cycle_matrix
 
     @cached_property
     def cycle_rank(self) -> int:

@@ -8,7 +8,7 @@ from hypothesis import given
 
 from conftest import directed_graphs
 from susygraph.graph import DirectedGraph, GraphFormatError, symmetrize
-from susygraph.linalg import LinearMap, StateVector
+from susygraph.linalg import LinearMap, StateVector, exact_kernel_basis
 from susygraph.operators import (
     IncidenceOperators,
     adjacency_direct,
@@ -119,6 +119,14 @@ def test_factorizations_match_direct_counts(g):
     assert vops.laplacian == laplacian_direct(g)
     assert vops.laplacian == inc.diff_adj @ inc.diff
     assert vops.laplacian.is_self_adjoint()
+
+
+@given(directed_graphs(shuffled=True))
+def test_ker_diff_is_the_exact_kernel_basis(g):
+    # polar's kernel projector is built from these vectors, so order and key order must hold
+    inc = build_incidence(g)
+    reference = exact_kernel_basis(inc.diff)
+    assert [list(v.items()) for v in inc.ker_diff] == [list(v.items()) for v in reference]
 
 
 @given(directed_graphs(max_vertices=8))

@@ -202,12 +202,16 @@ def _assert_sparse_run(command: str, graph_file: Path, rank: int, bosonic: int, 
         assert rep["cycles"]["cycle_count"] == cycle_count
 
 
-def _wheel(spokes: int) -> DirectedGraph:
-    """Hub 0 with a spoke to each rim vertex 1..spokes, then the rim cycle 1 -> 2 -> ... -> 1."""
+def _wheel(spokes: int, rim_first: bool = False) -> DirectedGraph:
+    """Hub 0 with a spoke to each rim vertex 1..spokes, then the rim cycle 1 -> 2 -> ... -> 1.
+
+    rim_first numbers the rim edges before the spokes.
+    """
     rim = range(1, spokes + 1)
-    return DirectedGraph(
-        spokes + 1, tuple((0, v) for v in rim) + tuple((v, v % spokes + 1) for v in rim)
-    )
+    spoke_edges = tuple((0, v) for v in rim)
+    rim_edges = tuple((v, v % spokes + 1) for v in rim)
+    edges = rim_edges + spoke_edges if rim_first else spoke_edges + rim_edges
+    return DirectedGraph(spokes + 1, edges)
 
 
 @pytest.mark.parametrize("command", ["kernel", "cycles"])
@@ -218,6 +222,8 @@ def test_kernel_and_cycles_scale_on_hubs(command, tmp_path):
     for name, graph, rank, bosonic, cycle_count in (
         ("star", star, 10000, 1, 0),
         ("wheel", _wheel(10000), 10000, 1, 10000),
+        # ker d by elimination once made this order quadratic (39 s, 2.3 GB)
+        ("rim_first_wheel", _wheel(4000, rim_first=True), 4000, 1, 4000),
     ):
         graph_file = tmp_path / f"{name}.txt"
         graph_file.write_text(format_edge_list(graph), encoding="utf-8")
@@ -499,11 +505,21 @@ def test_report_computes_each_exact_quantity_once(monkeypatch):
         def vertex_laplacian_products():
             return sum(1 for a, b in products if a == inc.diff_adj and b == inc.diff)
 
+        # from a copy of graph, so that graph's own spanning forest is still to be built
+        copy = DirectedGraph(graph.num_vertices, graph.edges, graph.mode)
+        cycle_matrix = build_incidence(copy).cycle_matrix
+
+        def cycle_closure_products():
+            return sum(1 for a, b in products if a == inc.diff_adj and b == cycle_matrix)
+
         for recorded in (*calls.values(), products):
             recorded.clear()
         rep = build_report(graph)
         assert rep["meta"]["all_pass"] is True
-        assert len(calls["exact_kernel_basis"]) == 2
+        # ker d is read off the forest; only polar's projector takes a kernel basis, of d*
+        assert [args[0] == inc.diff_adj for args in calls["exact_kernel_basis"]] == [True]
+        # the zero-mode and cycle-space checks share d* C
+        assert cycle_closure_products() == 1
         assert sum(1 for args in calls["exact_rank"] if args[0] == inc.diff) == 1
         assert len(calls["build_super_operators"]) == 1
         assert len(calls["build_vertex_operators"]) == 1
@@ -518,6 +534,11 @@ def test_report_computes_each_exact_quantity_once(monkeypatch):
         products.clear()
         assert build_report(graph, sections=("algebra", "grading"))["meta"]["all_pass"] is True
         assert vertex_laplacian_products() == 1
+        for recorded in (*calls.values(), products):
+            recorded.clear()
+        assert build_report(graph, sections=("kernel", "cycles"))["meta"]["all_pass"] is True
+        assert calls["exact_kernel_basis"] == []
+        assert cycle_closure_products() == 1
 
 
 @pytest.mark.parametrize(

@@ -348,6 +348,30 @@ def test_repeated_cycle_does_not_span_kernel():
     assert not rep.cycles_span_kernel and not rep.verdict
     assert not cycle_space_report(inc).consistent
     assert zero_mode_classification(build_incidence(g)).verdict
+    # One indicator missing vertex 4: the right count, but d does not send it to 0.
+    inc = build_incidence(g)
+    inc.__dict__["ker_diff"] = ({4: 1, 0: 1, 1: 1, 2: 1, 3: 1},)
+    assert zero_mode_classification(inc).verdict
+    inc.__dict__["ker_diff"] = ({0: 1, 1: 1, 2: 1, 3: 1},)
+    rep = zero_mode_classification(inc)
+    assert not rep.counts_match and rep.cycles_span_kernel and not rep.verdict
+    # Two components: closed indicators of the right count that are not independent.
+    two = DirectedGraph(3, ((0, 1),))
+    assert zero_mode_classification(build_incidence(two)).verdict
+    for dependent in (({1: 1, 0: 1}, {1: 1, 0: 1}), ({2: 1, 0: 1, 1: 1}, {})):
+        inc = build_incidence(two)
+        inc.__dict__["ker_diff"] = dependent
+        assert not zero_mode_classification(inc).counts_match
+    # One edge of the second (chord) cycle with its sign flipped: still independent, no
+    # longer closed.
+    inc = build_incidence(g)
+    basis = inc.cycle_basis
+    flipped = {k: -v if k == 3 else v for k, v in basis.vectors[1].items()}
+    inc.__dict__["cycle_basis"] = replace(basis, vectors=(basis.vectors[0], flipped))
+    rep = zero_mode_classification(inc)
+    assert inc.cycle_rank == 2 and rep.counts_match
+    assert not rep.cycles_span_kernel and not rep.verdict
+    assert not cycle_space_report(inc).consistent
 
 
 def test_cycle_rank_is_computed_once_per_graph(monkeypatch):
