@@ -9,7 +9,9 @@ when --star is given.  Each checkout runs all cases in one subprocess
 that imports the package from that checkout's src/, the two side by side.
 A case differs when its exit code or the sha256 of its stdout or stderr
 differs; the differing cases are listed and the exit status is 1 if there
-are any.
+are any.  Where the stdout of a JSON case differs, the listing names the
+dotted report paths whose values differ, as failed_checks names them, or
+says only "stdout" when the two parse to the same report.
 
 Example:
     python3 scripts/compare_outputs.py ../parent-checkout --graphs 50 --seed 3 --star 1000
@@ -73,7 +75,10 @@ def write_inputs(directory: Path, graphs: int, seed: int, star: int) -> list[Pat
 
 
 def run_cases(paths: list[str]) -> dict[str, list]:
-    """{case: [exit code, sha256 of stdout, sha256 of stderr]} for every case on paths, in-process."""
+    """{case: [exit code, sha256 of stdout, sha256 of stderr, JSON stdout]} for every case, in-process.
+
+    The last item is the stdout itself for --format json and None for text.
+    """
     from susygraph.cli import main
 
     results = {}
@@ -91,7 +96,7 @@ def run_cases(paths: list[str]) -> dict[str, list]:
                             err.write("".join(traceback.format_exception_only(exc)))
                     case = f"{command} {Path(path).name} --format {fmt} --tol {tol}"
                     digests = (hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err))
-                    results[case] = [code, *digests]
+                    results[case] = [code, *digests, out.getvalue() if fmt == "json" else None]
     return results
 
 
@@ -114,6 +119,34 @@ def finished_cases(proc: subprocess.Popen, checkout: Path) -> dict[str, list]:
     return json.loads(out)
 
 
+_ABSENT = object()
+
+
+def changed_paths(a, b, path: tuple = ()) -> list[str]:
+    """Dotted paths where two parsed reports hold different values, in sorted key order."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [
+            p
+            for key in sorted(a.keys() | b.keys())
+            for p in changed_paths(a.get(key, _ABSENT), b.get(key, _ABSENT), (*path, key))
+        ]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, (x, y) in enumerate(zip(a, b)) for p in changed_paths(x, y, (*path, i))]
+    # type() keeps true apart from 1 and 1 from 1.0
+    if type(a) is type(b) and a == b:
+        return []
+    return [".".join(map(str, path))]
+
+
+def stdout_difference(mine: str | None, other: str | None) -> str:
+    """'stdout', followed by the report paths that differ when both sides are JSON reports."""
+    try:
+        paths = changed_paths(json.loads(mine), json.loads(other))
+    except (TypeError, ValueError):
+        return "stdout"
+    return f"stdout: {', '.join(paths)}" if paths else "stdout"
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--run-cases"]:
@@ -134,10 +167,12 @@ def main(argv: list[str] | None = None) -> int:
         # The two checkouts run side by side.
         procs = [(start_cases(checkout, paths), checkout) for checkout in (ROOT, args.other.resolve())]
         ours, theirs = (finished_cases(proc, checkout) for proc, checkout in procs)
-    differing = [case for case in ours if ours[case] != theirs.get(case)]
+    differing = [case for case in ours if ours[case][:3] != theirs.get(case, [None])[:3]]
     for case in differing:
-        mine, other = ours[case], theirs.get(case, [None] * 3)
+        mine, other = ours[case], theirs.get(case, [None] * 4)
         what = [name for name, a, b in zip(("exit code", "stdout", "stderr"), mine, other) if a != b]
+        if "stdout" in what:
+            what[what.index("stdout")] = stdout_difference(mine[3], other[3])
         print(f"differs: {case} ({', '.join(what)})")
     print(f"{len(ours) - len(differing)} of {len(ours)} cases identical")
     return 1 if differing else 0

@@ -112,14 +112,24 @@ class DirectedGraph:
         return self.edge_index.get((head, tail))
 
 
+def _integer(token: str) -> int:
+    """int(token) for ASCII digits after an optional sign, else ValueError.
+
+    int() alone also takes '1_0' and non-ASCII digits.
+    """
+    if not (token.isascii() and token.lstrip("+-").isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_edge_list(text: str, mode_override: str | None = None) -> DirectedGraph:
     """Parse the plain edge-list format.
 
     Lines are stripped; '#' starts a comment; blank lines are skipped.  The
     first data line must be 'n=<count>'; an optional 'mode=oriented' or
     'mode=symmetric' line may follow; every remaining data line is
-    '<tail> <head>'.  mode_override replaces the declared (or default) mode
-    before validation runs.
+    '<tail> <head>', in ASCII integers.  mode_override replaces the declared
+    (or default) mode before validation runs.
     """
     num_vertices: int | None = None
     mode: str = ORIENTED
@@ -133,7 +143,7 @@ def parse_edge_list(text: str, mode_override: str | None = None) -> DirectedGrap
             if not line.startswith("n="):
                 raise MalformedLine(f"line {lineno}: expected 'n=<count>' first, got {line!r}")
             try:
-                num_vertices = int(line[2:].strip())
+                num_vertices = _integer(line[2:].strip())
             except ValueError:
                 raise MalformedLine(f"line {lineno}: bad vertex count in {line!r}") from None
             continue
@@ -151,7 +161,7 @@ def parse_edge_list(text: str, mode_override: str | None = None) -> DirectedGrap
         if len(parts) != 2:
             raise MalformedLine(f"line {lineno}: expected '<tail> <head>', got {line!r}")
         try:
-            tail, head = int(parts[0]), int(parts[1])
+            tail, head = _integer(parts[0]), _integer(parts[1])
         except ValueError:
             raise MalformedLine(f"line {lineno}: non-integer endpoint in {line!r}") from None
         edges.append((tail, head))

@@ -26,7 +26,6 @@ from .linalg import (
     LinearMap,
     Space,
     edge_space,
-    exact_kernel_basis,
     exact_rank,
     stack_columns,
     super_space,
@@ -72,11 +71,6 @@ class IncidenceOperators:
         """
         components = sorted(self.graph.spanning_forest.components, key=lambda comp: comp[-1])
         return tuple(dict.fromkeys((comp[-1], *comp[:-1]), 1) for comp in components)
-
-    @cached_property
-    def ker_diff_adj(self) -> tuple[dict[int, int], ...]:
-        """Exact integer basis of the kernel of diff_adj (the cycle space)."""
-        return tuple(exact_kernel_basis(self.diff_adj))
 
     @cached_property
     def cycle_basis(self) -> CycleBasis:

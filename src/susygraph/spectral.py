@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LinearMap, Space, SpaceMismatch, StateVector, stack_columns
+from .linalg import LinearMap, SpaceMismatch, StateVector, stack_columns
 from .linalg import exact_rank  # noqa: F401  unused; bench/test_bench.py traces this binding
 from .operators import IncidenceOperators, SuperOperators
 
@@ -167,10 +167,7 @@ def pairing_check(inc: IncidenceOperators, tol: float = 1e-8) -> PairingReport:
     vz, ez = n - rank, m - rank
     v_nonzero = vspec[vz:]
     e_nonzero = espec[ez:]
-    if inc.edge.dim:
-        sing = np.linalg.svd(inc.diff.to_dense_real(), compute_uv=False)
-    else:
-        sing = np.zeros(0)
+    sing = np.linalg.svd(inc.diff.to_dense_real(), compute_uv=False)
     sing_nonzero = np.sort(sing[:rank])  # numpy sorts singular values descending
     max_mismatch = _sup(v_nonzero - e_nonzero)
     zero_block = max(_sup(vspec[:vz]), _sup(espec[:ez]))
@@ -254,8 +251,9 @@ class PolarReport:
     isometry maps vertex functions to edge functions, unitary between the
     orthogonal complements of the kernels; its rank is fixed by exact
     elimination.  The projector residuals compare isometry*isometry and
-    isometry isometry* against projectors assembled independently from the
-    exact integer kernel bases.  Residuals are sup-norm defects.
+    isometry isometry* against projectors from the forest's component
+    indicators and the fundamental cycles, so the range residual checks the
+    SVD against the cycle space.  Residuals are sup-norm defects.
     """
 
     rank: int
@@ -286,11 +284,9 @@ class PolarReport:
         )
 
 
-def _kernel_projector(vectors: tuple[dict[int, int], ...], space: Space) -> np.ndarray:
-    """Orthogonal projector onto the span of exact integer kernel vectors in space."""
-    if not vectors:
-        return np.zeros((space.dim, space.dim))
-    q, _ = np.linalg.qr(stack_columns(list(vectors), space).to_dense_real())
+def _kernel_projector(basis: LinearMap) -> np.ndarray:
+    """Orthogonal projector onto the span of the exact integer columns of basis."""
+    q, _ = np.linalg.qr(basis.to_dense_real())
     return q @ q.T
 
 
@@ -314,30 +310,25 @@ def polar_decompose(inc: IncidenceOperators) -> PolarReport:
     # before the square root stops sqrt from amplifying solver noise
     vvals[: n - rank] = 0.0
     evals[: m - rank] = 0.0
-    modulus_vertex = vvecs @ np.diag(np.sqrt(np.clip(vvals, 0.0, None))) @ vvecs.T
-    modulus_edge = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
-    if d.size:
-        u, sing, vt = np.linalg.svd(d)
-        isometry = u[:, :rank] @ vt[:rank, :]
-    else:
-        sing = np.zeros(0)
-        isometry = np.zeros((m, n))
+    modulus_vertex = (vvecs * np.sqrt(np.clip(vvals, 0.0, None))) @ vvecs.T
+    modulus_edge = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
+    u, sing, vt = np.linalg.svd(d)
+    isometry = u[:, :rank] @ vt[:rank, :]
 
-    res_fact = _sup(isometry @ modulus_vertex - d)
+    transported = isometry @ modulus_vertex
+    res_fact = _sup(transported - d)
+    res_transport = _sup(transported @ isometry.T - modulus_edge)
+    del transported  # so that it is never held beside range_proj
     res_adj = _sup(modulus_vertex @ isometry.T - d.T)
-    res_transport = _sup(isometry @ modulus_vertex @ isometry.T - modulus_edge)
-    res_partial = _sup(isometry @ isometry.T @ isometry - isometry)
-    res_inter = _sup(
-        isometry @ vertex_lap @ isometry.T - edge_lap @ (isometry @ isometry.T)
-    )
     # the first-order block operator equals the block isometry times the
     # block modulus: [[0, S*],[S, 0]] @ diag(|d|, |d*|) = [[0, d*],[d, 0]]
-    upper = isometry.T @ modulus_edge - d.T
-    res_block = max(res_fact, _sup(upper))
-    p_ker_vertex = _kernel_projector(inc.ker_diff, inc.vertex)
-    p_ker_edge = _kernel_projector(inc.ker_diff_adj, inc.edge)
-    res_domain = _sup(isometry.T @ isometry + p_ker_vertex - np.eye(n))
-    res_range = _sup(isometry @ isometry.T + p_ker_edge - np.eye(m))
+    res_block = max(res_fact, _sup(isometry.T @ modulus_edge - d.T))
+    indicators = stack_columns(list(inc.ker_diff), inc.vertex)
+    res_domain = _sup(isometry.T @ isometry + _kernel_projector(indicators) - np.eye(n))
+    range_proj = isometry @ isometry.T
+    res_partial = _sup(range_proj @ isometry - isometry)
+    res_inter = _sup(isometry @ vertex_lap @ isometry.T - edge_lap @ range_proj)
+    res_range = _sup(range_proj + _kernel_projector(inc.cycle_matrix) - np.eye(m))
     return PolarReport(
         rank=rank,
         singular_values=sing[:rank],

@@ -74,6 +74,13 @@ def test_parse_crlf_and_default_mode():
         "n=two\n",              # bad count
         "n=2\n0\n",             # not two fields
         "n=2\n0 x\n",           # non-integer
+        # int() takes these; the format allows only ASCII digits after an optional sign
+        "n=1_0\n",
+        "n=\u0663\n",           # Arabic-Indic three
+        "n=\uff13\n",           # fullwidth three
+        "n=3\n0 \u0661\n",
+        "n=3\n0_0 1\n",
+        "n=+-3\n",              # two signs
         "n=2\nmode=weird\n",    # unknown mode
         "n=2\n0 1\nmode=oriented\n",  # mode after edges
         "",                      # empty file
@@ -82,6 +89,12 @@ def test_parse_crlf_and_default_mode():
 def test_parse_malformed(text):
     with pytest.raises(MalformedLine):
         parse_edge_list(text)
+
+
+def test_parse_signed_integers():
+    assert parse_edge_list("n=+3\n+0 2\n").edges == ((0, 2),)
+    with pytest.raises(IndexOutOfRange, match="edge \\(-1, 0\\) outside vertex range 0..2"):
+        parse_edge_list("n=3\n-1 0\n")
 
 
 @pytest.mark.parametrize(

@@ -307,6 +307,16 @@ def test_cli_parse_error(tmp_path, capsys):
     assert "self-loop" in err
 
 
+def test_cli_rejects_a_number_that_int_alone_would_take(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("n=3\n0 \uff11\n", encoding="utf-8")  # a fullwidth one
+    code = main(["report", str(bad), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: line 2: non-integer endpoint in '0 \uff11'\n"
+
+
 def test_cli_mode_override_failure(capsys):
     code = main(["report", str(GRAPHS / "c3.txt"), "--mode-override", "symmetric"])
     err = capsys.readouterr().err
@@ -516,8 +526,9 @@ def test_report_computes_each_exact_quantity_once(monkeypatch):
             recorded.clear()
         rep = build_report(graph)
         assert rep["meta"]["all_pass"] is True
-        # ker d is read off the forest; only polar's projector takes a kernel basis, of d*
-        assert [args[0] == inc.diff_adj for args in calls["exact_kernel_basis"]] == [True]
+        # ker d is read off the forest and polar's projectors read it and the cycles, so no
+        # section eliminates for a kernel basis
+        assert calls["exact_kernel_basis"] == []
         # the zero-mode and cycle-space checks share d* C
         assert cycle_closure_products() == 1
         assert sum(1 for args in calls["exact_rank"] if args[0] == inc.diff) == 1

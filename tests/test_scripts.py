@@ -230,3 +230,24 @@ def test_compare_outputs_names_the_cases_a_changed_writer_breaks(tmp_path):
     # every json case differs, and no text case
     assert len(differing) == 6 * 5 * 2
     assert not [line for line in differing if "--format text" in line]
+
+
+def test_compare_outputs_names_the_report_key_that_changed(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    report = tmp_path / "src" / "susygraph" / "report.py"
+    text = report.read_text(encoding="utf-8")
+    # One value of the polar section: its rank, printed one too high.
+    polar = 'rep = polar_decompose(inc)\n    return {\n        "rank": rep.rank,'
+    assert text.count(polar) == 1
+    report.write_text(text.replace(polar, polar[:-1] + " + 1,"), encoding="utf-8")
+    proc = run_compare_outputs(tmp_path, "--graphs", "0")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    differing = [line for line in proc.stdout.splitlines() if line.startswith("differs: ")]
+    assert "differs: report c3.txt --format json --tol 1e-8 (stdout: polar.rank)" in differing
+    assert "differs: report c3.txt --format text --tol 1e-8 (stdout)" in differing
+    # only report prints polar: every report case differs, json ones by that key alone
+    assert len(differing) == 6 * 2 * 2
+    assert all(line.startswith("differs: report ") for line in differing)
+    json_lines = [line for line in differing if "--format json" in line]
+    assert len(json_lines) == 6 * 2
+    assert all(line.endswith(" (stdout: polar.rank)") for line in json_lines)

@@ -16,7 +16,14 @@ import susygraph.spectral
 from conftest import connected_graphs, directed_graphs
 from susygraph.cycles import cycle_space_report
 from susygraph.graph import ORIENTED, SYMMETRIC, DirectedGraph, load_edge_list, symmetrize
-from susygraph.linalg import LinearMap, SpaceMismatch, StateVector, aux_space, exact_rank
+from susygraph.linalg import (
+    LinearMap,
+    SpaceMismatch,
+    StateVector,
+    aux_space,
+    exact_rank,
+    stack_columns,
+)
 from susygraph.operators import build_incidence, build_super_operators, path_graph
 from susygraph.rand import random_graph
 from susygraph.spectral import (
@@ -372,6 +379,22 @@ def test_repeated_cycle_does_not_span_kernel():
     assert inc.cycle_rank == 2 and rep.counts_match
     assert not rep.cycles_span_kernel and not rep.verdict
     assert not cycle_space_report(inc).consistent
+
+
+def test_range_projector_checks_the_svd_against_the_cycles():
+    # A square with one diagonal: two independent cycles, whose span is ker d*.
+    g = DirectedGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
+    inc = build_incidence(g)
+    assert polar_decompose(inc).residual_range_projector < 1e-12
+    first, second = inc.cycle_basis.vectors
+    flipped = {k: -v if k == min(second) else v for k, v in second.items()}
+    # one sign flipped, one cycle repeated, one cycle missing
+    for bad in ((first, flipped), (first, dict(first)), (first,)):
+        inc = build_incidence(g)
+        inc.__dict__["cycle_matrix"] = stack_columns(list(bad), inc.edge)
+        rep = polar_decompose(inc)
+        assert rep.residual_range_projector > 0.1
+        assert rep.residual_domain_projector < 1e-12
 
 
 def test_cycle_rank_is_computed_once_per_graph(monkeypatch):
